@@ -30,7 +30,7 @@ use mcr_core::runtime::{
     UpdateOptions, UpdateOutcome, UpdatePipeline,
 };
 use mcr_core::{QuiescenceProfiler, TraceOptions, TracingStats};
-use mcr_procsim::Kernel;
+use mcr_procsim::{Kernel, PAGE_SIZE};
 use mcr_servers::{
     apply_scenario_writes, install_standard_files, paper_catalog, program_by_name, stamp_request_scratch,
     PrecopyScenario,
@@ -129,10 +129,13 @@ pub fn update_with_options(
     outcome
 }
 
+/// The FNV-1a prime. Folding a zero word only multiplies the hash by it.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
 /// FNV-1a fold of one kernel-visible fact (helper of
 /// [`kernel_fingerprint`]).
 fn fold(hash: &mut u64, value: u64) {
-    *hash = (*hash ^ value).wrapping_mul(0x100_0000_01b3);
+    *hash = (*hash ^ value).wrapping_mul(FNV_PRIME);
 }
 
 /// Deterministic digest of everything live-update-visible in the kernel:
@@ -141,6 +144,11 @@ fn fold(hash: &mut u64, value: u64) {
 /// downtime bench both use it to prove that two update configurations
 /// converged to byte-identical kernel state. Contents only — dirty-page
 /// epochs and write counters are instrumentation, not program state.
+///
+/// A region's contents fold as its little-endian 64-bit words in address
+/// order (a trailing partial word is not folded). The fold walks the
+/// region's pages: a never-written page is all zero words, so it folds in
+/// one multiplication by `FNV_PRIME^words` instead of one per word.
 pub fn kernel_fingerprint(kernel: &Kernel) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for pid in kernel.pids() {
@@ -155,9 +163,18 @@ pub fn kernel_fingerprint(kernel: &Kernel) -> u64 {
         for region in proc.space().regions() {
             fold(&mut hash, region.base().0);
             fold(&mut hash, region.size());
-            let bytes = proc.space().read_bytes(region.base(), region.size() as usize).unwrap();
-            for word in bytes.chunks_exact(8) {
-                fold(&mut hash, u64::from_le_bytes(word.try_into().unwrap()));
+            let mut left = region.size();
+            for page in region.pages() {
+                let len = left.min(PAGE_SIZE);
+                left -= len;
+                match page {
+                    Some(bytes) => {
+                        for word in bytes.chunks_exact(8) {
+                            fold(&mut hash, u64::from_le_bytes(word.try_into().unwrap()));
+                        }
+                    }
+                    None => hash = hash.wrapping_mul(FNV_PRIME.wrapping_pow((len / 8) as u32)),
+                }
             }
         }
     }
@@ -1220,6 +1237,63 @@ mod tests {
         let doc = update_time_json(&rows).render();
         assert!(doc.contains("\"phases\""));
         assert!(doc.contains("trace-and-transfer"));
+    }
+
+    /// The fingerprint as it was first defined: every region read out whole
+    /// and folded word by word. The paged fold must reproduce it exactly.
+    fn reference_fingerprint(kernel: &Kernel) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for pid in kernel.pids() {
+            let proc = kernel.process(pid).unwrap();
+            fold(&mut hash, pid.0.into());
+            fold(&mut hash, proc.fds().len() as u64);
+            for (fd, entry) in proc.fds().iter() {
+                fold(&mut hash, fd.0 as u64);
+                fold(&mut hash, entry.object.0);
+            }
+            fold(&mut hash, proc.thread_count() as u64);
+            for region in proc.space().regions() {
+                fold(&mut hash, region.base().0);
+                fold(&mut hash, region.size());
+                let bytes = proc.space().read_bytes(region.base(), region.size() as usize).unwrap();
+                for word in bytes.chunks_exact(8) {
+                    fold(&mut hash, u64::from_le_bytes(word.try_into().unwrap()));
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn paged_fingerprint_matches_the_word_by_word_fold() {
+        use mcr_procsim::{Addr, Syscall, SyscallPort};
+        for program in PROGRAMS {
+            let (mut kernel, mut instance) = boot_program(program, 1, InstrumentationConfig::default());
+            run_standard_workload(&mut kernel, &mut instance, program, 4);
+            assert_eq!(
+                kernel_fingerprint(&kernel),
+                reference_fingerprint(&kernel),
+                "{program} after workload"
+            );
+            // A mapping whose size is neither a page nor a word multiple,
+            // with data in its truncated last page and in a middle page.
+            let pid = instance.state.processes[0];
+            let tid = kernel.process(pid).unwrap().main_tid();
+            let size = 2 * PAGE_SIZE + 1001;
+            let base = kernel
+                .syscall(pid, tid, Syscall::Mmap { size, name: "odd".into(), fixed: None })
+                .unwrap()
+                .as_addr()
+                .unwrap();
+            let before = kernel_fingerprint(&kernel);
+            assert_eq!(before, reference_fingerprint(&kernel), "{program} with an untouched odd mapping");
+            let space = kernel.process_mut(pid).unwrap().space_mut();
+            space.write_bytes(Addr(base.0 + size - 11), &[0xAB; 11]).unwrap();
+            space.write_u64(Addr(base.0 + PAGE_SIZE + 64), 0x1234_5678).unwrap();
+            let after = kernel_fingerprint(&kernel);
+            assert_eq!(after, reference_fingerprint(&kernel), "{program} with a written odd mapping");
+            assert_ne!(after, before, "{program}: the tail store is inside a folded word");
+        }
     }
 
     #[test]

@@ -1468,6 +1468,32 @@ mod tests {
     }
 
     #[test]
+    fn fork_and_kernel_clone_are_copy_on_write() {
+        let (mut k, pid, tid) = booted();
+        let heap = k.process(pid).unwrap().layout().heap_base;
+        k.process_mut(pid).unwrap().space_mut().write_u64(heap, 7).unwrap();
+        let touched = k.process(pid).unwrap().space().materialised_pages();
+        assert!(touched > 0);
+        let child = k.syscall(pid, tid, Syscall::Fork).unwrap().as_pid().unwrap();
+        let (parent_space, child_space) =
+            (k.process(pid).unwrap().space(), k.process(child).unwrap().space());
+        assert_eq!(child_space.shared_pages_with(parent_space), touched, "fork materialises no page");
+        assert_eq!(child_space.materialised_pages(), touched);
+
+        let mut snapshot = k.clone();
+        for p in [pid, child] {
+            let (orig, copy) = (k.process(p).unwrap().space(), snapshot.process(p).unwrap().space());
+            assert_eq!(copy.shared_pages_with(orig), touched, "a kernel clone materialises no page");
+        }
+        snapshot.process_mut(pid).unwrap().space_mut().write_u64(heap, 8).unwrap();
+        snapshot.process_mut(child).unwrap().space_mut().write_u64(heap.offset(8), 9).unwrap();
+        assert_eq!(k.process(pid).unwrap().space().read_u64(heap).unwrap(), 7);
+        assert_eq!(k.process(child).unwrap().space().read_u64(heap.offset(8)).unwrap(), 0);
+        assert_eq!(snapshot.process(pid).unwrap().space().read_u64(heap).unwrap(), 8);
+        assert_eq!(snapshot.process(child).unwrap().space().read_u64(heap).unwrap(), 7);
+    }
+
+    #[test]
     fn forced_pid_assignment() {
         let (mut k, pid, tid) = booted();
         k.set_next_pid(Pid(4242));

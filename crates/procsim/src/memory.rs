@@ -38,14 +38,45 @@
 //! the working set dirtied while the old version kept serving. The classic
 //! "dirty since startup" queries are the `since == 0` special case, so the
 //! stop-the-world paths are unchanged.
+//!
+//! # Copy-on-write pages
+//!
+//! A region's bytes live in one slot per [`PAGE_SIZE`] page, each an
+//! `Option<Arc<page>>`, exactly like a kernel's page table over shared
+//! physical frames:
+//!
+//! * `None` is a page that was never written. It reads as zeros and holds
+//!   no memory, so mapping a 16 MB heap costs one pointer-sized slot per
+//!   page, not 16 MB.
+//! * A store fills a `None` slot with a fresh page, or un-shares a shared
+//!   page with [`Arc::make_mut`] before writing it (the copy-on-write
+//!   fault).
+//! * Cloning an address space — `fork`, a kernel snapshot — copies the
+//!   slot vector only: parent and child share every page until one of them
+//!   stores into it. A fork therefore costs O(pages) pointer copies plus
+//!   the pages later touched, not O(bytes) mapped.
+//!
+//! The layout is private to this module: every byte access goes through
+//! the accessors below, and [`MemoryRegion::pages`] is the read-only view
+//! for whole-region scans. Dirty-epoch stamps, protection stamps and the
+//! simulated resident size ([`AddressSpace::mapped_bytes`]) are per mapped
+//! page, independent of whether the page is materialised or shared, so CoW
+//! changes host cost only — never what the simulation reports.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{SimError, SimResult};
 
 /// Size of a simulated memory page in bytes (matches Linux x86).
 pub const PAGE_SIZE: u64 = 4096;
+
+const PAGE_BYTES: usize = PAGE_SIZE as usize;
+
+/// One materialised page frame, shared between address spaces until a store
+/// un-shares it.
+type Page = [u8; PAGE_BYTES];
 
 /// A simulated virtual address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -134,7 +165,9 @@ pub struct MemoryRegion {
     kind: RegionKind,
     name: String,
     writable: bool,
-    data: Vec<u8>,
+    /// One slot per page: `None` reads as zeros (never written), `Some`
+    /// is a frame possibly shared with forked or cloned address spaces.
+    pages: Vec<Option<Arc<Page>>>,
     /// Per-page dirty stamp: the address space's write epoch at the page's
     /// last store, `0` when the page is clean since the last
     /// `clear_soft_dirty`.
@@ -163,7 +196,7 @@ impl MemoryRegion {
             kind,
             name: name.into(),
             writable,
-            data: vec![0; size as usize],
+            pages: vec![None; pages],
             // Freshly mapped pages are dirty: they were just created.
             dirty_epoch: vec![epoch; pages],
             protected: vec![false; pages],
@@ -283,6 +316,97 @@ impl MemoryRegion {
             *stamp = 0;
         }
     }
+
+    /// Read-only view of the region's contents, one item per page in
+    /// address order: `None` for a never-written page (all zeros), else the
+    /// page's bytes. Every page spans [`PAGE_SIZE`] bytes except the last,
+    /// which is truncated to the region size (its `Some` slice is, too).
+    pub fn pages(&self) -> impl Iterator<Item = Option<&[u8]>> + '_ {
+        let size = self.size as usize;
+        self.pages
+            .iter()
+            .enumerate()
+            .map(move |(i, page)| page.as_deref().map(|p| &p[..(size - i * PAGE_BYTES).min(PAGE_BYTES)]))
+    }
+
+    /// Region offset of `[addr, addr + len)`, which must fit in the region;
+    /// `addr` must lie inside it. The end is computed with `checked_add`,
+    /// so a huge `len` is `OutOfBounds`, never an overflow.
+    fn offset_of(&self, addr: Addr, len: usize) -> SimResult<usize> {
+        let off = addr.0 - self.base.0;
+        match off.checked_add(len as u64) {
+            Some(end) if end <= self.size => Ok(off as usize),
+            _ => Err(SimError::OutOfBounds { addr, len }),
+        }
+    }
+
+    /// The page at `idx`, materialised (if never written) and un-shared (if
+    /// another address space holds it too) so it can be stored into.
+    fn page_mut(&mut self, idx: usize) -> &mut Page {
+        Arc::make_mut(self.pages[idx].get_or_insert_with(|| Arc::new([0; PAGE_BYTES])))
+    }
+
+    /// Copies the bytes at region offset `off` into `buf`. With `zeroed`
+    /// the caller guarantees `buf` is all zeros, so never-written pages are
+    /// skipped instead of zero-filled.
+    fn read_at(&self, off: usize, buf: &mut [u8], zeroed: bool) {
+        let read_page = |idx: usize, at: usize, dst: &mut [u8]| match &self.pages[idx] {
+            Some(page) => dst.copy_from_slice(&page[at..at + dst.len()]),
+            None if !zeroed => dst.fill(0),
+            None => {}
+        };
+        let (idx, at) = (off / PAGE_BYTES, off % PAGE_BYTES);
+        if at + buf.len() <= PAGE_BYTES {
+            // Single-page fast path: every word-sized load.
+            return read_page(idx, at, buf);
+        }
+        let mut done = 0;
+        while done < buf.len() {
+            let (idx, at) = ((off + done) / PAGE_BYTES, (off + done) % PAGE_BYTES);
+            let n = (PAGE_BYTES - at).min(buf.len() - done);
+            read_page(idx, at, &mut buf[done..done + n]);
+            done += n;
+        }
+    }
+
+    /// Stores `bytes` at region offset `off`, materialising or un-sharing
+    /// exactly the touched pages.
+    fn write_at(&mut self, off: usize, bytes: &[u8]) {
+        if bytes.is_empty() {
+            return;
+        }
+        let (idx, at) = (off / PAGE_BYTES, off % PAGE_BYTES);
+        if at + bytes.len() <= PAGE_BYTES {
+            // Single-page fast path: every word-sized store.
+            self.page_mut(idx)[at..at + bytes.len()].copy_from_slice(bytes);
+            return;
+        }
+        let mut done = 0;
+        while done < bytes.len() {
+            let (idx, at) = ((off + done) / PAGE_BYTES, (off + done) % PAGE_BYTES);
+            let n = (PAGE_BYTES - at).min(bytes.len() - done);
+            self.page_mut(idx)[at..at + n].copy_from_slice(&bytes[done..done + n]);
+            done += n;
+        }
+    }
+
+    /// Copies `len` bytes from `src` at `src_off` to region offset `off`,
+    /// page to page with no intermediate buffer. A never-written source
+    /// page only zeroes destination pages that hold data.
+    fn copy_from(&mut self, off: usize, src: &MemoryRegion, src_off: usize, len: usize) {
+        let mut done = 0;
+        while done < len {
+            let (idx, at) = ((off + done) / PAGE_BYTES, (off + done) % PAGE_BYTES);
+            let (src_idx, src_at) = ((src_off + done) / PAGE_BYTES, (src_off + done) % PAGE_BYTES);
+            let n = (PAGE_BYTES - at).min(PAGE_BYTES - src_at).min(len - done);
+            match &src.pages[src_idx] {
+                Some(page) => self.page_mut(idx)[at..at + n].copy_from_slice(&page[src_at..src_at + n]),
+                None if self.pages[idx].is_some() => self.page_mut(idx)[at..at + n].fill(0),
+                None => {}
+            }
+            done += n;
+        }
+    }
 }
 
 /// A report of the dirty pages of one region, as collected at update time.
@@ -368,6 +492,9 @@ impl AddressSpace {
         if size == 0 {
             return Err(SimError::InvalidArgument("zero-sized mapping".into()));
         }
+        if base.0.checked_add(size).is_none() {
+            return Err(SimError::InvalidArgument("mapping wraps the address space".into()));
+        }
         if self.overlaps(base, size) {
             return Err(SimError::MappingOverlap { base, size });
         }
@@ -423,7 +550,7 @@ impl AddressSpace {
     /// scanning).
     pub fn is_valid_range(&self, addr: Addr, len: usize) -> bool {
         match self.region_containing(addr) {
-            Some(r) => addr.0 + len as u64 <= r.end().0,
+            Some(r) => addr.0.checked_add(len as u64).is_some_and(|end| end <= r.end().0),
             None => false,
         }
     }
@@ -439,11 +566,10 @@ impl AddressSpace {
     /// Fails if the range is unmapped or crosses the end of its region.
     pub fn read_bytes(&self, addr: Addr, len: usize) -> SimResult<Vec<u8>> {
         let region = self.region_containing(addr).ok_or(SimError::UnmappedAddress(addr))?;
-        let off = (addr.0 - region.base().0) as usize;
-        if off + len > region.data.len() {
-            return Err(SimError::OutOfBounds { addr, len });
-        }
-        Ok(region.data[off..off + len].to_vec())
+        let off = region.offset_of(addr, len)?;
+        let mut out = vec![0; len];
+        region.read_at(off, &mut out, true);
+        Ok(out)
     }
 
     /// Reads `buf.len()` bytes starting at `addr` into a caller-provided
@@ -457,11 +583,8 @@ impl AddressSpace {
     /// Fails if the range is unmapped or crosses the end of its region.
     pub fn read_into(&self, addr: Addr, buf: &mut [u8]) -> SimResult<()> {
         let region = self.region_containing(addr).ok_or(SimError::UnmappedAddress(addr))?;
-        let off = (addr.0 - region.base().0) as usize;
-        if off + buf.len() > region.data.len() {
-            return Err(SimError::OutOfBounds { addr, len: buf.len() });
-        }
-        buf.copy_from_slice(&region.data[off..off + buf.len()]);
+        let off = region.offset_of(addr, buf.len())?;
+        region.read_at(off, buf, false);
         Ok(())
     }
 
@@ -480,20 +603,14 @@ impl AddressSpace {
     /// destination range is unmapped, read-only, or out of bounds.
     pub fn copy_range(&mut self, dst: Addr, src: &AddressSpace, src_addr: Addr, len: usize) -> SimResult<()> {
         let src_region = src.region_containing(src_addr).ok_or(SimError::UnmappedAddress(src_addr))?;
-        let src_off = (src_addr.0 - src_region.base().0) as usize;
-        if src_off + len > src_region.data.len() {
-            return Err(SimError::OutOfBounds { addr: src_addr, len });
-        }
+        let src_off = src_region.offset_of(src_addr, len)?;
         let epoch = self.write_epoch;
         let region = self.region_containing_mut(dst).ok_or(SimError::UnmappedAddress(dst))?;
         if !region.is_writable() {
             return Err(SimError::ReadOnlyRegion(dst));
         }
-        let off = (dst.0 - region.base().0) as usize;
-        if off + len > region.data.len() {
-            return Err(SimError::OutOfBounds { addr: dst, len });
-        }
-        region.data[off..off + len].copy_from_slice(&src_region.data[src_off..src_off + len]);
+        let off = region.offset_of(dst, len)?;
+        region.copy_from(off, src_region, src_off, len);
         region.mark_dirty(dst, len, epoch);
         region.write_count += 1;
         Ok(())
@@ -516,10 +633,7 @@ impl AddressSpace {
             if !region.is_writable() {
                 return Err(SimError::ReadOnlyRegion(addr));
             }
-            let off = (addr.0 - region.base().0) as usize;
-            if off + bytes.len() > region.data.len() {
-                return Err(SimError::OutOfBounds { addr, len: bytes.len() });
-            }
+            region.offset_of(addr, bytes.len())?;
             if region.span_is_protected(addr, bytes.len().max(1) as u64) {
                 self.pending_traps.push(PendingTrap { addr, bytes: bytes.to_vec() });
                 self.traps_taken += 1;
@@ -543,11 +657,8 @@ impl AddressSpace {
         if !region.is_writable() {
             return Err(SimError::ReadOnlyRegion(addr));
         }
-        let off = (addr.0 - region.base().0) as usize;
-        if off + bytes.len() > region.data.len() {
-            return Err(SimError::OutOfBounds { addr, len: bytes.len() });
-        }
-        region.data[off..off + bytes.len()].copy_from_slice(bytes);
+        let off = region.offset_of(addr, bytes.len())?;
+        region.write_at(off, bytes);
         region.mark_dirty(addr, bytes.len(), epoch);
         region.write_count += 1;
         Ok(())
@@ -564,8 +675,9 @@ impl AddressSpace {
 
     /// Reads a 64-bit little-endian word (also used for pointers).
     pub fn read_u64(&self, addr: Addr) -> SimResult<u64> {
-        let b = self.read_bytes(addr, 8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        let mut b = [0; 8];
+        self.read_into(addr, &mut b)?;
+        Ok(u64::from_le_bytes(b))
     }
 
     /// Writes a 64-bit little-endian word.
@@ -585,8 +697,9 @@ impl AddressSpace {
 
     /// Reads a 32-bit little-endian word.
     pub fn read_u32(&self, addr: Addr) -> SimResult<u32> {
-        let b = self.read_bytes(addr, 4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        let mut b = [0; 4];
+        self.read_into(addr, &mut b)?;
+        Ok(u32::from_le_bytes(b))
     }
 
     /// Writes a 32-bit little-endian word.
@@ -596,7 +709,9 @@ impl AddressSpace {
 
     /// Reads a single byte.
     pub fn read_u8(&self, addr: Addr) -> SimResult<u8> {
-        Ok(self.read_bytes(addr, 1)?[0])
+        let mut b = [0; 1];
+        self.read_into(addr, &mut b)?;
+        Ok(b[0])
     }
 
     /// Writes a single byte.
@@ -791,7 +906,7 @@ impl AddressSpace {
             .map(|(_, r)| r)
             .filter(|r| r.contains(base))
             .ok_or(SimError::UnmappedAddress(base))?;
-        if base.0 + len > region.end().0 {
+        if base.0.checked_add(len).is_none_or(|end| end > region.end().0) {
             return Err(SimError::OutOfBounds { addr: base, len: len as usize });
         }
         let delta = region.set_protected(base, len, value);
@@ -856,6 +971,27 @@ impl AddressSpace {
     /// Total number of stores ever parked by the trap barrier.
     pub fn traps_taken(&self) -> u64 {
         self.traps_taken
+    }
+}
+
+/// Test-only views of the private page slots, so the CoW tests here and in
+/// `process.rs`/`kernel.rs` can check what a fork or a clone materialised.
+#[cfg(test)]
+impl AddressSpace {
+    /// Number of materialised page frames across all regions.
+    pub(crate) fn materialised_pages(&self) -> usize {
+        self.regions.values().map(|r| r.pages.iter().flatten().count()).sum()
+    }
+
+    /// Number of frames `self` shares with `other`: the same frame in the
+    /// same slot of the same region.
+    pub(crate) fn shared_pages_with(&self, other: &AddressSpace) -> usize {
+        self.regions
+            .iter()
+            .filter_map(|(base, r)| other.regions.get(base).map(|o| (r, o)))
+            .flat_map(|(r, o)| r.pages.iter().zip(&o.pages))
+            .filter(|(a, b)| matches!((a, b), (Some(a), Some(b)) if Arc::ptr_eq(a, b)))
+            .count()
     }
 }
 
@@ -1068,6 +1204,201 @@ mod tests {
         let mut ro = AddressSpace::new();
         ro.map_region_with_perms(Addr(0x5000), PAGE_SIZE, RegionKind::Lib, "ro", false).unwrap();
         assert!(ro.copy_range(Addr(0x5000), &src, Addr(0x10000), 8).is_err());
+    }
+
+    #[test]
+    fn overflowing_read_and_copy_lengths_are_out_of_bounds() {
+        let mut space = space_with_region();
+        let addr = Addr(0x10008);
+        assert!(matches!(space.read_bytes(addr, usize::MAX).unwrap_err(), SimError::OutOfBounds { .. }));
+        let src = space_with_region();
+        assert!(matches!(
+            space.copy_range(addr, &src, Addr(0x10000), usize::MAX).unwrap_err(),
+            SimError::OutOfBounds { .. }
+        ));
+        assert!(!space.is_valid_range(addr, usize::MAX));
+        assert!(space
+            .map_region(Addr(u64::MAX - PAGE_SIZE), 2 * PAGE_SIZE, RegionKind::Mmap, "wrap")
+            .is_err());
+    }
+
+    #[test]
+    fn overflowing_protection_lengths_are_out_of_bounds() {
+        let mut space = space_with_region();
+        let addr = Addr(0x10008);
+        // The wrapped end of `addr + u64::MAX` must not pass the bounds check.
+        assert!(matches!(space.protect_range(addr, u64::MAX).unwrap_err(), SimError::OutOfBounds { .. }));
+        assert!(matches!(space.unprotect_range(addr, u64::MAX).unwrap_err(), SimError::OutOfBounds { .. }));
+        assert_eq!(space.protected_page_count(), 0);
+    }
+
+    #[test]
+    fn never_written_pages_read_zero_and_materialise_nothing() {
+        let space = space_with_region();
+        assert_eq!(space.read_u64(Addr(0x10000 + 3 * PAGE_SIZE)).unwrap(), 0);
+        assert_eq!(
+            space.read_bytes(Addr(0x10000), (8 * PAGE_SIZE) as usize).unwrap(),
+            vec![0; 8 * PAGE_BYTES]
+        );
+        let mut buf = [0xFFu8; 32];
+        space.read_into(Addr(0x10000 + PAGE_SIZE - 16), &mut buf).unwrap();
+        assert_eq!(buf, [0; 32], "read_into zero-fills a dirty caller buffer");
+        assert_eq!(space.read_cstring(Addr(0x10000), 16).unwrap(), "");
+        assert_eq!(space.materialised_pages(), 0);
+        let region = space.region_containing(Addr(0x10000)).unwrap();
+        assert!(region.pages().all(|p| p.is_none()));
+        // Soft-dirty and resident accounting do not depend on materialisation.
+        assert_eq!(space.dirty_page_count(), 8);
+        assert_eq!(space.mapped_bytes(), 8 * PAGE_SIZE);
+    }
+
+    #[test]
+    fn page_view_truncates_the_last_page() {
+        let mut space = AddressSpace::new();
+        let size = 2 * PAGE_SIZE + 100;
+        space.map_region(Addr(0x20000), size, RegionKind::Mmap, "odd").unwrap();
+        space.write_bytes(Addr(0x20000 + size - 4), &[7; 4]).unwrap();
+        let region = space.region_containing(Addr(0x20000)).unwrap();
+        let pages: Vec<_> = region.pages().collect();
+        assert_eq!(pages.len(), 3);
+        assert!(pages[0].is_none() && pages[1].is_none());
+        let last = pages[2].unwrap();
+        assert_eq!(last.len(), 100);
+        assert_eq!(&last[96..], &[7; 4]);
+        // Stores past the region end are rejected even inside the last frame.
+        assert!(space.write_u8(Addr(0x20000 + size), 1).is_err());
+    }
+
+    #[test]
+    fn a_store_into_a_clone_leaves_the_original_unchanged_and_back() {
+        let mut parent = space_with_region();
+        parent.write_u64(Addr(0x10000), 1).unwrap();
+        parent.write_u64(Addr(0x10000 + 2 * PAGE_SIZE), 2).unwrap();
+        let mut child = parent.clone();
+        // The clone materialises no page: both frames are shared.
+        assert_eq!(parent.materialised_pages(), 2);
+        assert_eq!(child.shared_pages_with(&parent), 2);
+        child.write_u64(Addr(0x10000), 11).unwrap();
+        assert_eq!(parent.read_u64(Addr(0x10000)).unwrap(), 1);
+        assert_eq!(child.read_u64(Addr(0x10000)).unwrap(), 11);
+        assert_eq!(child.shared_pages_with(&parent), 1, "only the stored-into page is un-shared");
+        parent.write_u64(Addr(0x10000 + 2 * PAGE_SIZE + 8), 3).unwrap();
+        assert_eq!(child.read_u64(Addr(0x10000 + 2 * PAGE_SIZE + 8)).unwrap(), 0);
+        assert_eq!(child.read_u64(Addr(0x10000 + 2 * PAGE_SIZE)).unwrap(), 2, "un-sharing copies the frame");
+        assert_eq!(child.shared_pages_with(&parent), 0);
+        // A page neither side had written materialises only in the writer.
+        child.write_u8(Addr(0x10000 + 5 * PAGE_SIZE), 9).unwrap();
+        assert_eq!(parent.read_u8(Addr(0x10000 + 5 * PAGE_SIZE)).unwrap(), 0);
+        assert_eq!((parent.materialised_pages(), child.materialised_pages()), (2, 3));
+    }
+
+    #[test]
+    fn cloned_dirty_epochs_and_protection_are_independent() {
+        let mut parent = space_with_region();
+        parent.clear_soft_dirty();
+        parent.write_u64(Addr(0x10000), 1).unwrap();
+        let mut child = parent.clone();
+        assert_eq!(child.shared_pages_with(&parent), 1);
+        child.clear_soft_dirty();
+        let e = child.advance_write_epoch();
+        child.protect_range(Addr(0x10000 + PAGE_SIZE), PAGE_SIZE).unwrap();
+        assert_eq!(parent.dirty_page_count(), 1);
+        assert_eq!(parent.write_epoch(), e);
+        assert_eq!(parent.protected_page_count(), 0);
+        // A parent store to the page the child protected lands in the
+        // parent, and the child's trap barrier parks its own store.
+        parent.write_u64(Addr(0x10000 + PAGE_SIZE), 5).unwrap();
+        child.write_u64(Addr(0x10000 + PAGE_SIZE), 6).unwrap();
+        assert_eq!(parent.read_u64(Addr(0x10000 + PAGE_SIZE)).unwrap(), 5);
+        assert_eq!(child.read_u64(Addr(0x10000 + PAGE_SIZE)).unwrap(), 0);
+        assert_eq!((parent.pending_trap_count(), child.pending_trap_count()), (0, 1));
+        assert_eq!(parent.dirty_page_count(), 2);
+        assert_eq!(child.dirty_page_count(), 0, "a parked store stamps nothing");
+        // Stamps move with stores, not with frame sharing.
+        child.write_u64(Addr(0x10000 + 8), 7).unwrap();
+        assert_eq!(child.range_dirty_epoch(Addr(0x10000), 8), e + 1);
+        assert_eq!(parent.range_dirty_epoch(Addr(0x10000), 8), e);
+    }
+
+    #[test]
+    fn cross_page_accesses_over_zero_and_shared_pages() {
+        let boundary = Addr(0x10000 + PAGE_SIZE);
+        let mut space = space_with_region();
+        // A store straddling a boundary materialises both pages.
+        space.write_bytes(Addr(boundary.0 - 3), &[1, 2, 3, 4, 5, 6]).unwrap();
+        assert_eq!(space.materialised_pages(), 2);
+        assert_eq!(space.read_bytes(Addr(boundary.0 - 4), 8).unwrap(), [0, 1, 2, 3, 4, 5, 6, 0]);
+        // A read straddling a written page and a never-written one.
+        space.write_u64(Addr(0x10000 + 3 * PAGE_SIZE - 8), u64::MAX).unwrap();
+        let mut buf = [0xEEu8; 16];
+        space.read_into(Addr(0x10000 + 3 * PAGE_SIZE - 8), &mut buf).unwrap();
+        assert_eq!(buf, [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0]);
+        // A straddling store into a clone un-shares both pages, no others.
+        let mut clone = space.clone();
+        clone.write_bytes(Addr(boundary.0 - 2), &[9; 4]).unwrap();
+        assert_eq!(clone.shared_pages_with(&space), 1);
+        assert_eq!(space.read_bytes(Addr(boundary.0 - 2), 4).unwrap(), [2, 3, 4, 5]);
+        assert_eq!(clone.read_bytes(Addr(boundary.0 - 3), 6).unwrap(), [1, 9, 9, 9, 9, 6]);
+        // copy_range across a boundary, from shared and zero source pages,
+        // into zero and written destination pages.
+        let mut dst = AddressSpace::new();
+        dst.map_region(Addr(0x40000), 8 * PAGE_SIZE, RegionKind::Heap, "dst").unwrap();
+        dst.write_bytes(Addr(0x40000 + 4 * PAGE_SIZE), &[0xAA; 64]).unwrap();
+        dst.copy_range(Addr(0x40000 + 4 * PAGE_SIZE - 5), &clone, Addr(boundary.0 - 3), 60).unwrap();
+        let expected = clone.read_bytes(Addr(boundary.0 - 3), 60).unwrap();
+        assert_eq!(dst.read_bytes(Addr(0x40000 + 4 * PAGE_SIZE - 5), 60).unwrap(), expected);
+        assert_eq!(
+            dst.read_u8(Addr(0x40000 + 4 * PAGE_SIZE + 55)).unwrap(),
+            0xAA,
+            "bytes past the copy stay"
+        );
+        // A zero source range zeroes written destination bytes.
+        dst.copy_range(Addr(0x40000 + 4 * PAGE_SIZE + 55), &clone, Addr(0x10000 + 6 * PAGE_SIZE), 4).unwrap();
+        assert_eq!(dst.read_bytes(Addr(0x40000 + 4 * PAGE_SIZE + 55), 5).unwrap(), [0, 0, 0, 0, 0xAA]);
+    }
+
+    #[test]
+    fn paged_store_matches_a_flat_byte_model() {
+        // Random stores, copies and clones against a plain byte vector.
+        let size = 6 * PAGE_BYTES + 40;
+        let base = Addr(0x10000);
+        let mut space = AddressSpace::new();
+        space.map_region(base, size as u64, RegionKind::Heap, "heap").unwrap();
+        let mut model = vec![0u8; size];
+        let mut snapshot: Option<(AddressSpace, Vec<u8>)> = None;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % bound as u64) as usize
+        };
+        for step in 0..400 {
+            let off = next(size);
+            let len = next(2 * PAGE_BYTES).min(size - off);
+            match next(4) {
+                0 | 1 => {
+                    let bytes: Vec<u8> = (0..len).map(|i| (step + i) as u8 | 1).collect();
+                    space.write_bytes(base.offset(off as u64), &bytes).unwrap();
+                    model[off..off + len].copy_from_slice(&bytes);
+                }
+                2 => {
+                    let src_off = next(size - len + 1);
+                    let src = space.clone();
+                    space
+                        .copy_range(base.offset(off as u64), &src, base.offset(src_off as u64), len)
+                        .unwrap();
+                    model.copy_within(src_off..src_off + len, off);
+                }
+                _ => snapshot = Some((space.clone(), model.clone())),
+            }
+            let mut buf = vec![0xEE; len];
+            space.read_into(base.offset(off as u64), &mut buf).unwrap();
+            assert_eq!(buf, model[off..off + len], "step {step}");
+        }
+        assert_eq!(space.read_bytes(base, size).unwrap(), model);
+        let (old, old_model) = snapshot.expect("a snapshot was taken");
+        assert_eq!(old.read_bytes(base, size).unwrap(), old_model, "snapshots never see later stores");
     }
 
     #[test]

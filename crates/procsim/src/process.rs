@@ -543,6 +543,30 @@ mod tests {
     }
 
     #[test]
+    fn fork_shares_pages_until_either_side_stores() {
+        let mut p = proc_with_memory();
+        let (a, b) = {
+            let (space, heap) = p.space_and_heap_mut().unwrap();
+            let a = heap.malloc(space, 64, AllocSite(1), TypeTag(1)).unwrap();
+            let b = heap.malloc(space, 64 * 1024, AllocSite(2), TypeTag(1)).unwrap();
+            space.write_u64(a, 1).unwrap();
+            space.write_u64(b.offset(32 * 1024), 2).unwrap();
+            (a, b.offset(32 * 1024))
+        };
+        let touched = p.space().materialised_pages();
+        let mut child = p.fork_into(Pid(2), Tid(10), Tid(1));
+        // The fork materialises no page: every frame is shared.
+        assert_eq!(child.space().materialised_pages(), touched);
+        assert_eq!(child.space().shared_pages_with(p.space()), touched);
+        assert_eq!(child.resident_bytes(), p.resident_bytes(), "simulated RSS counts mapped pages");
+        child.space_mut().write_u64(a, 10).unwrap();
+        p.space_mut().write_u64(b, 20).unwrap();
+        assert_eq!((p.space().read_u64(a).unwrap(), child.space().read_u64(a).unwrap()), (1, 10));
+        assert_eq!((p.space().read_u64(b).unwrap(), child.space().read_u64(b).unwrap()), (20, 2));
+        assert_eq!(child.space().shared_pages_with(p.space()), touched - 2);
+    }
+
+    #[test]
     fn exit_marks_threads() {
         let mut p = proc_with_memory();
         p.set_exit(3);
