@@ -3,17 +3,22 @@
 //! corruption and supervised recovery.
 //!
 //! Runs [`CheckpointSpec::smoke`] — every store block a checkpoint writes
-//! is attacked twice (crash-at-block and torn-block), every enumerated
-//! restore step is failed once, and the durable supervisor is driven
-//! through old-instance crashes — then asserts:
+//! is attacked twice (crash-at-block and torn-block), the store crashes
+//! once right after the manifest's last block, every enumerated restore
+//! step is failed once, the durable supervisor is driven through
+//! old-instance crashes, and a cache is restored at three sizes — then
+//! asserts:
 //!
 //! * the baseline checkpoint/restore roundtrip is byte-identical (kernel
 //!   fingerprint) and the restored instance serves;
 //! * every crash point recovered to a byte-identical durable version or
 //!   was rejected with a typed checksum error while the old version kept
-//!   serving (zero divergences);
+//!   serving (zero divergences), and at least one drill recovered the
+//!   interrupted version itself;
 //! * the parallel shard writeback beats the serial one;
-//! * retention keeps exactly the newest versions.
+//! * retention keeps exactly the newest versions;
+//! * every scaling restore is byte-identical, and host wall per re-placed
+//!   heap chunk at the largest cache is within 2x of that at the smallest.
 //!
 //! Emits the `BENCH_checkpoint.json` document on stdout; the CI smoke step
 //! re-asserts the same properties from the JSON.
@@ -31,11 +36,13 @@ fn main() {
     assert!(out.blocks > 0, "no store blocks enumerated");
     assert!(out.capped.is_empty(), "smoke campaign must sweep every crash point: {:?}", out.capped);
     assert_eq!(out.crash_drills + out.torn_drills, 2 * out.blocks as usize);
+    assert_eq!(out.crash_after_drills, 1, "no crash after the manifest's last block");
     assert_eq!(
         out.recovered_durable + out.recovered_fallback,
-        out.crash_drills + out.torn_drills,
+        out.crash_drills + out.torn_drills + out.crash_after_drills,
         "every crash point must recover to a durable version"
     );
+    assert!(out.recovered_durable >= 1, "no drill recovered the interrupted version");
     assert_eq!(out.restore_step_typed, out.restore_step_drills, "untyped restore-step failure");
     assert_eq!(out.corruption_fallbacks, 3, "corruption drills must fall back to the intact version");
     assert_eq!(out.corruption_typed, 2, "skew/all-corrupt drills must fail typed");
@@ -43,6 +50,10 @@ fn main() {
     assert_eq!(out.supervisor_committed, out.supervisor_drills, "recovered ladder failed to commit");
     assert!(out.retention_ok, "retention kept the wrong versions");
     assert!(out.writer_speedup > 1.0, "parallel shard writeback gained nothing: {}", out.writer_speedup);
+    assert_eq!(out.restore_scaling.len(), spec.restore_scaling.len(), "restore-scaling sizes missing");
+    assert!(out.restore_scaling.iter().all(|r| r.restores >= 3), "restore medians need >= 3 restores");
+    let ratio = out.restore_scaling_ratio();
+    assert!(ratio <= 2.0, "restore wall per chunk grew {ratio:.2}x from the smallest to the largest cache");
 
     println!("{}", checkpoint_json(&spec, &out).render());
 }

@@ -15,7 +15,8 @@
 //!    restore lands on a byte-identical image of *some* durable version
 //!    (the interrupted one if its manifest made it down, else the previous
 //!    one) — never a partial or merged state — while the serving instance
-//!    keeps answering.
+//!    keeps answering. One more crash right after the manifest's last block
+//!    ([`WriteFault::CrashAfter`]) must recover the interrupted version.
 //! 3. **Restore-path robustness** — an injected failure at each of the
 //!    [`RESTORE_STEPS`] surfaces as the typed
 //!    [`RestoreError::FaultInjected`] and perturbs neither the store nor
@@ -26,6 +27,8 @@
 //! 5. **Supervised recovery** — [`supervised_update_durable`] revives a
 //!    crashed old instance from the latest durable checkpoint and still
 //!    commits the update.
+//! 6. **Restore scaling** — restoring a cache filled to growing sizes stays
+//!    byte-identical, and its host wall per re-placed heap chunk stays flat.
 //!
 //! Every deviation is recorded as a repro string; the campaign is fully
 //! deterministic (simulated kernel, seeded by construction), so a repro
@@ -34,6 +37,7 @@
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
+use std::time::Instant;
 
 use mcr_core::runtime::{
     resume, supervised_update_durable, wait_quiescence, ChaosPlan, McrInstance, SupervisorPolicy,
@@ -45,12 +49,12 @@ use mcr_core::transfer::checkpoint::{
 };
 use mcr_core::{PhaseName, Program};
 use mcr_procsim::{Kernel, MemStore, Store, WriteFault};
-use mcr_servers::program_by_name;
+use mcr_servers::{program_by_name, CacheServer};
 use mcr_typemeta::InstrumentationConfig;
 use mcr_workload::{open_idle_connections, run_workload, workload_for};
 
 use crate::chaos::spread;
-use crate::{boot_program, kernel_fingerprint, Json};
+use crate::{boot_program, filled_cache, kernel_fingerprint, percentile_of, Json};
 
 /// Quiescence budget (barrier passes) for the campaign's own barriers.
 const QUIESCE_ROUNDS: usize = 64;
@@ -76,6 +80,10 @@ pub struct CheckpointSpec {
     pub shard_writers: usize,
     /// Cap on crash/torn points swept per fault kind (0 = every block).
     pub max_crash_points: usize,
+    /// Cache entries of each restore-scaling size, smallest first.
+    pub restore_scaling: &'static [u64],
+    /// Timed restores per restore-scaling size.
+    pub restore_repeats: usize,
 }
 
 impl CheckpointSpec {
@@ -89,6 +97,8 @@ impl CheckpointSpec {
             open_connections: 4,
             shard_writers: 4,
             max_crash_points: 0,
+            restore_scaling: &[2_500, 5_000, 10_000],
+            restore_repeats: 5,
         }
     }
 
@@ -101,6 +111,8 @@ impl CheckpointSpec {
             open_connections: 2,
             shard_writers: 2,
             max_crash_points: 3,
+            restore_scaling: &[100, 200],
+            restore_repeats: 1,
         }
     }
 
@@ -126,6 +138,8 @@ pub struct CheckpointOutcome {
     pub crash_drills: usize,
     /// Torn-block drills run.
     pub torn_drills: usize,
+    /// Crash-after-the-manifest's-last-block drills run (one per campaign).
+    pub crash_after_drills: usize,
     /// Drills whose recovery landed on the interrupted (newest) version.
     pub recovered_durable: usize,
     /// Drills whose recovery fell back to the previous version.
@@ -158,6 +172,8 @@ pub struct CheckpointOutcome {
     /// Serial-over-parallel speedup of the reference checkpoint's shard
     /// writeback.
     pub writer_speedup: f64,
+    /// Restore wall time per cache size.
+    pub restore_scaling: Vec<RestoreScalingRow>,
     /// Capped sweep dimensions (empty when every block was swept).
     pub capped: Vec<String>,
     /// Human-readable reproducers for every deviation.
@@ -168,6 +184,37 @@ impl CheckpointOutcome {
     /// True when every drill upheld its property.
     pub fn clean(&self) -> bool {
         self.divergences == 0 && self.repros.is_empty()
+    }
+
+    /// Host wall per re-placed chunk at the largest restore-scaling size
+    /// over that at the smallest (1.0 = linear scaling).
+    pub fn restore_scaling_ratio(&self) -> f64 {
+        match (self.restore_scaling.first(), self.restore_scaling.last()) {
+            (Some(small), Some(large)) => large.wall_per_chunk_us() / small.wall_per_chunk_us(),
+            _ => f64::NAN,
+        }
+    }
+}
+
+/// One cache size of the restore-scaling sweep.
+#[derive(Debug, Clone, Default)]
+pub struct RestoreScalingRow {
+    /// Cache entries filled before the checkpoint.
+    pub entries: u64,
+    /// Heap chunks the restore re-placed with `malloc_at`.
+    pub reallocated_chunks: usize,
+    /// Timed restores.
+    pub restores: usize,
+    /// Median host wall of one `restore_latest`, ms.
+    pub restore_wall_ms: f64,
+    /// Every restore revived a kernel byte-identical to the checkpointed one.
+    pub fingerprint_identical: bool,
+}
+
+impl RestoreScalingRow {
+    /// Median host wall per re-placed chunk, µs.
+    pub fn wall_per_chunk_us(&self) -> f64 {
+        self.restore_wall_ms * 1e3 / self.reallocated_chunks.max(1) as f64
     }
 }
 
@@ -203,12 +250,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// One crash-point drill: checkpoint v1, mutate, then attempt v2 with a
-/// write fault armed at the `n`-th block of the new checkpoint. Asserts the
-/// old instance keeps serving and recovery lands on a byte-identical image
-/// of v1 or (if its manifest became durable before the crash) v2.
-fn crash_drill(spec: &CheckpointSpec, n: u64, torn: bool, out: &mut CheckpointOutcome) {
-    let what = if torn { "torn" } else { "crash" };
+/// One crash-point drill: checkpoint v1, mutate, then attempt v2 with
+/// `fault` armed at the `n`-th block of the new checkpoint. Asserts the old
+/// instance keeps serving and recovery lands on a byte-identical image of v1
+/// or (if its manifest became durable before the crash) v2. A crash after
+/// the last block leaves the whole manifest down, so it must recover v2.
+fn crash_drill(spec: &CheckpointSpec, n: u64, fault: fn(u64) -> WriteFault, out: &mut CheckpointOutcome) {
     let opts = spec.options();
     let (mut kernel, mut instance) = setup(spec);
     let mut store = MemStore::new();
@@ -220,16 +267,26 @@ fn crash_drill(spec: &CheckpointSpec, n: u64, torn: bool, out: &mut CheckpointOu
     // captured at its exact snapshot point.
     wait_quiescence(&mut kernel, &mut instance, QUIESCE_ROUNDS).expect("quiesce for v2");
     let fp2 = kernel_fingerprint(&kernel);
-    let at = store.blocks_written() + n;
-    store.arm_write_fault(if torn { WriteFault::TornAt(at) } else { WriteFault::CrashAt(at) });
+    let armed = fault(store.blocks_written() + n);
+    let what = match armed {
+        WriteFault::CrashAt(_) => {
+            out.crash_drills += 1;
+            "crash"
+        }
+        WriteFault::TornAt(_) => {
+            out.torn_drills += 1;
+            "torn"
+        }
+        WriteFault::CrashAfter(_) => {
+            out.crash_after_drills += 1;
+            "crash-after"
+        }
+    };
+    let manifest_landed = matches!(armed, WriteFault::CrashAfter(_)) && n == out.blocks;
+    store.arm_write_fault(armed);
     let result = write_checkpoint(&mut kernel, &instance, &mut store, &opts);
     store.disarm_write_fault();
     resume(&mut kernel, &mut instance);
-    if torn {
-        out.torn_drills += 1;
-    } else {
-        out.crash_drills += 1;
-    }
     if result.is_ok() {
         out.divergences += 1;
         out.repros.push(format!("{what}:{n}: fault never fired (checkpoint succeeded)"));
@@ -247,7 +304,7 @@ fn crash_drill(spec: &CheckpointSpec, n: u64, torn: bool, out: &mut CheckpointOu
             let fp = kernel_fingerprint(&restored.kernel);
             if fp == fp2 {
                 out.recovered_durable += 1;
-            } else if fp == fp1 {
+            } else if fp == fp1 && !manifest_landed {
                 out.recovered_fallback += 1;
             } else {
                 out.divergences += 1;
@@ -491,9 +548,10 @@ pub fn run_checkpoint_campaign(spec: &CheckpointSpec) -> CheckpointOutcome {
         out.capped.push(format!("crash-points:{}/{}", points.len(), out.blocks));
     }
     for &n in &points {
-        crash_drill(spec, n, false, &mut out);
-        crash_drill(spec, n, true, &mut out);
+        crash_drill(spec, n, WriteFault::CrashAt, &mut out);
+        crash_drill(spec, n, WriteFault::TornAt, &mut out);
     }
+    crash_drill(spec, out.blocks, WriteFault::CrashAfter, &mut out);
 
     restore_step_drills(spec, &mut out);
     corruption_drills(spec, &mut out);
@@ -512,7 +570,42 @@ pub fn run_checkpoint_campaign(spec: &CheckpointSpec) -> CheckpointOutcome {
         out.repros.push(format!("retention: kept versions {:?}", list_versions(&store)));
     }
 
+    for &entries in spec.restore_scaling {
+        let row = restore_scaling_row(entries, spec.restore_repeats);
+        if !row.fingerprint_identical {
+            out.divergences += 1;
+            out.repros.push(format!("restore-scaling:{entries}: restore failed or was not byte-identical"));
+        }
+        out.restore_scaling.push(row);
+    }
+
     out
+}
+
+/// Fills a cache to `entries`, checkpoints it and times `repeats` restores.
+fn restore_scaling_row(entries: u64, repeats: usize) -> RestoreScalingRow {
+    let (mut kernel, mut instance) = filled_cache(entries, 64);
+    let mut store = MemStore::new();
+    checkpoint_now(&mut kernel, &mut instance, &mut store, &CheckpointOptions::default())
+        .expect("cache checkpoint");
+    let fp = kernel_fingerprint(&kernel);
+    let mut row =
+        RestoreScalingRow { entries, restores: repeats, fingerprint_identical: true, ..Default::default() };
+    let mut walls = Vec::with_capacity(repeats);
+    for _ in 0..repeats {
+        let t = Instant::now();
+        let restored = restore_latest(&store, &mut || Box::new(CacheServer::new(1)), None);
+        walls.push(t.elapsed().as_secs_f64() * 1e3);
+        match restored {
+            Ok(r) => {
+                row.reallocated_chunks = r.report.reallocated_chunks;
+                row.fingerprint_identical &= kernel_fingerprint(&r.kernel) == fp;
+            }
+            Err(_) => row.fingerprint_identical = false,
+        }
+    }
+    row.restore_wall_ms = percentile_of(&walls, 50.0);
+    row
 }
 
 /// Renders the campaign outcome as the human-readable report.
@@ -535,8 +628,12 @@ pub fn checkpoint_render(out: &CheckpointOutcome) -> String {
     );
     let _ = writeln!(
         s,
-        "  crash points: {} crash + {} torn drills → {} durable / {} fallback recoveries",
-        out.crash_drills, out.torn_drills, out.recovered_durable, out.recovered_fallback
+        "  crash points: {} crash + {} torn + {} crash-after drills → {} durable / {} fallback recoveries",
+        out.crash_drills,
+        out.torn_drills,
+        out.crash_after_drills,
+        out.recovered_durable,
+        out.recovered_fallback
     );
     let _ = writeln!(
         s,
@@ -556,6 +653,17 @@ pub fn checkpoint_render(out: &CheckpointOutcome) -> String {
         out.supervisor_drills,
         out.retention_ok
     );
+    for r in &out.restore_scaling {
+        let _ = writeln!(
+            s,
+            "  restore {:>6} entries: {:>6} chunks re-placed, median {:.2} ms ({:.2} µs/chunk), identical={}",
+            r.entries,
+            r.reallocated_chunks,
+            r.restore_wall_ms,
+            r.wall_per_chunk_us(),
+            r.fingerprint_identical
+        );
+    }
     if !out.capped.is_empty() {
         let _ = writeln!(s, "  capped sweeps: {}", out.capped.join(", "));
     }
@@ -581,6 +689,7 @@ pub fn checkpoint_json(spec: &CheckpointSpec, out: &CheckpointOutcome) -> Json {
         ("restored_serves", Json::Bool(out.restored_serves)),
         ("crash_drills", out.crash_drills.into()),
         ("torn_drills", out.torn_drills.into()),
+        ("crash_after_drills", out.crash_after_drills.into()),
         ("recovered_durable", out.recovered_durable.into()),
         ("recovered_fallback", out.recovered_fallback.into()),
         ("divergences", out.divergences.into()),
@@ -594,6 +703,24 @@ pub fn checkpoint_json(spec: &CheckpointSpec, out: &CheckpointOutcome) -> Json {
         ("supervisor_committed", out.supervisor_committed.into()),
         ("retention_ok", Json::Bool(out.retention_ok)),
         ("writer_speedup", Json::Num(out.writer_speedup)),
+        (
+            "restore_scaling",
+            Json::Arr(
+                out.restore_scaling
+                    .iter()
+                    .map(|r| {
+                        Json::obj([
+                            ("entries", r.entries.into()),
+                            ("reallocated_chunks", r.reallocated_chunks.into()),
+                            ("restores", r.restores.into()),
+                            ("restore_wall_ms", Json::Num(r.restore_wall_ms)),
+                            ("wall_per_chunk_us", Json::Num(r.wall_per_chunk_us())),
+                            ("fingerprint_identical", Json::Bool(r.fingerprint_identical)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
         ("capped", Json::Arr(out.capped.iter().map(Json::str).collect())),
         ("repros", Json::Arr(out.repros.iter().map(Json::str).collect())),
     ])
@@ -616,6 +743,11 @@ mod tests {
         assert_eq!(out.supervisor_recovered, out.supervisor_drills);
         assert!(out.retention_ok);
         assert!(out.crash_drills > 0 && out.torn_drills > 0);
+        assert_eq!(out.crash_after_drills, 1);
+        assert!(out.recovered_durable >= 1, "the crash after the manifest's last block fell back");
+        assert_eq!(out.restore_scaling.len(), 2);
+        assert!(out.restore_scaling.iter().all(|r| r.fingerprint_identical));
+        assert!(out.restore_scaling[0].reallocated_chunks < out.restore_scaling[1].reallocated_chunks);
         let doc = checkpoint_json(&spec, &out).render();
         assert!(doc.starts_with("{\"experiment\":\"checkpoint_crash\""));
         assert!(doc.contains("\"divergences\":0"));

@@ -50,6 +50,7 @@ pub use chaos::{
 };
 pub use checkpoint::{
     checkpoint_json, checkpoint_render, run_checkpoint_campaign, CheckpointOutcome, CheckpointSpec,
+    RestoreScalingRow,
 };
 pub use fleet::{FleetServer, FLEET_PORT};
 pub use json::Json;
@@ -367,26 +368,15 @@ pub fn adaptive_update(
     (kernel_fingerprint(&kernel), outcome)
 }
 
-/// Boots the single-process [`CacheServer`](mcr_servers::CacheServer), bulk
-/// fills it with `entries` cache entries of `value_bytes`-byte values (plus
-/// a few gets and evictions so the LRU stamps and garbage sweep are
-/// exercised), then live-updates generation 1 → 2 with the given intra-pair
-/// shard count. Returns the post-update kernel fingerprint and the outcome.
-///
-/// This is the single-process big-heap scenario of `benches/intra_pair.rs`:
-/// one matched pair, so the pair-parallel phase alone cannot speed it up —
-/// any makespan improvement comes from the within-pair sharding.
+/// Boots generation 1 of the single-process
+/// [`CacheServer`](mcr_servers::CacheServer) and bulk fills it with `entries`
+/// cache entries of `value_bytes`-byte values, plus a few gets and an
+/// eviction so the LRU stamps and garbage sweep are exercised.
 ///
 /// # Panics
 ///
 /// Panics if the cache fails to boot or a request goes unanswered.
-pub fn cache_update(
-    entries: u64,
-    value_bytes: u64,
-    shards: usize,
-    precopy_rounds: usize,
-    scheduler: SchedulerMode,
-) -> (u64, UpdateOutcome) {
+pub(crate) fn filled_cache(entries: u64, value_bytes: u64) -> (Kernel, McrInstance) {
     let mut kernel = Kernel::new();
     let mut v1 = boot(&mut kernel, Box::new(mcr_servers::CacheServer::new(1)), &BootOptions::default())
         .expect("cache boots");
@@ -402,6 +392,28 @@ pub fn cache_update(
         request(&mut kernel, &mut v1, "get".to_string());
     }
     request(&mut kernel, &mut v1, "evict".to_string());
+    (kernel, v1)
+}
+
+/// Fills the cache ([`filled_cache`]), then live-updates generation 1 → 2
+/// with the given intra-pair shard count. Returns the post-update kernel
+/// fingerprint and the outcome.
+///
+/// This is the single-process big-heap scenario of `benches/intra_pair.rs`:
+/// one matched pair, so the pair-parallel phase alone cannot speed it up —
+/// any makespan improvement comes from the within-pair sharding.
+///
+/// # Panics
+///
+/// Panics if the cache fails to boot or a request goes unanswered.
+pub fn cache_update(
+    entries: u64,
+    value_bytes: u64,
+    shards: usize,
+    precopy_rounds: usize,
+    scheduler: SchedulerMode,
+) -> (u64, UpdateOutcome) {
+    let (mut kernel, mut v1) = filled_cache(entries, value_bytes);
     v1.sched.mode = scheduler;
     let opts = UpdateOptions {
         scheduler,

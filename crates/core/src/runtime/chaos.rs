@@ -42,10 +42,11 @@ pub enum FaultSite {
     /// starts (a commit-boundary class site: the batch fails before it
     /// applies anything).
     DrainStep(u64),
-    /// A crash of the checkpoint store after the n-th (1-based) block this
-    /// attempt writes: the block lands, everything after is lost, and every
-    /// later store call fails until the store is remounted. Exercises the
-    /// shards-before-manifest commit protocol.
+    /// A crash of the checkpoint store at the n-th (1-based) block this
+    /// attempt writes: the blocks before it land, the n-th block and
+    /// everything after are lost, and every later store call fails until the
+    /// store is remounted. Exercises the shards-before-manifest commit
+    /// protocol.
     ManifestWrite(u64),
     /// A torn write at the n-th (1-based) block this attempt writes: the
     /// block is half-persisted (first half only), then the store crashes.

@@ -542,10 +542,10 @@ pub struct ChaosPlan {
     /// Post-copy trigger: abort right before the n-th (1-based) background
     /// drain batch executes, counted across pairs and drain rounds.
     at_drain_step: Option<u64>,
-    /// Checkpoint trigger: the checkpoint store crashes after the n-th
+    /// Checkpoint trigger: the checkpoint store crashes at the n-th
     /// (1-based) block written by this attempt's [`PhaseName::Checkpoint`]
-    /// phase — everything past the crash point is lost, everything before
-    /// it persists (possibly a truncated blob).
+    /// phase — that block and everything after it are lost, everything
+    /// before it persists (possibly a truncated blob).
     at_manifest_write: Option<u64>,
     /// Checkpoint trigger: like `at_manifest_write`, but the crashing block
     /// itself is *torn* — half old bytes, half garbage — so only checksum
@@ -627,8 +627,8 @@ impl ChaosPlan {
         ChaosPlan { at_drain_step: Some(nth), ..ChaosPlan::default() }
     }
 
-    /// A plan that crashes the checkpoint store after the `nth` (1-based)
-    /// block the [`PhaseName::Checkpoint`] phase writes.
+    /// A plan that crashes the checkpoint store instead of writing the `nth`
+    /// (1-based) block the [`PhaseName::Checkpoint`] phase writes.
     pub fn failing_at_manifest_write(nth: u64) -> Self {
         ChaosPlan { at_manifest_write: Some(nth), ..ChaosPlan::default() }
     }

@@ -8,7 +8,10 @@
 //!   site identifier and a data-type tag in in-band metadata, exactly the
 //!   information MCR's precise tracing consumes. Instrumentation performs real
 //!   extra work per allocation, so its cost is observable in the overhead
-//!   benchmarks (Table 3).
+//!   benchmarks (Table 3). Host cost per operation, for n chunks: placed
+//!   [`PtMalloc::malloc_at`] O(log n + k) for k swallowed free entries,
+//!   [`PtMalloc::free`] O(log n), first-fit [`PtMalloc::malloc`] O(free
+//!   chunks) for its free-list scan.
 //! * [`RegionAllocator`] — a region/pool allocator (nginx pools, Apache httpd
 //!   nested pools). Objects carved out of a region are *not* individually
 //!   visible to the heap allocator; without dedicated instrumentation they are
@@ -90,7 +93,7 @@ pub struct PtMalloc {
     heap_size: u64,
     /// Next never-used offset (bump frontier).
     frontier: u64,
-    /// Free chunks by payload offset -> total chunk size (header + payload).
+    /// Free chunks by header offset -> total chunk size (header + payload).
     free_chunks: BTreeMap<u64, u64>,
     /// Live chunks by payload address.
     live: BTreeMap<u64, u64>,
@@ -290,6 +293,16 @@ impl PtMalloc {
     /// old version must reappear at the same virtual address in the new
     /// version's fresh heap.
     ///
+    /// Costs O(log n + k) for n chunks and k swallowed free entries. Both
+    /// maps hold *disjoint* intervals: live chunks never overlap each other
+    /// (every placement checks this), free entries never overlap each other
+    /// or a live chunk (they are released chunks or split tails, and a
+    /// placement removes every entry it touches). Ordered by start, disjoint
+    /// intervals are also ordered by end, so the only live chunk that can
+    /// overlap the placement is the last one starting before its end, and
+    /// the swallowed free entries are a contiguous run ending at the last
+    /// entry starting before its end.
+    ///
     /// # Errors
     ///
     /// Fails if the requested placement is outside the heap, overlaps a live
@@ -313,24 +326,24 @@ impl PtMalloc {
         if header_off + total > self.heap_size {
             return Err(SimError::OutOfMemory { requested: size });
         }
-        // The placement must not overlap any live chunk.
-        for (&live_payload, &live_total) in &self.live {
-            let live_start = live_payload - self.header_size();
-            let live_end = live_start + live_total;
-            let start = self.heap_base.0 + header_off;
-            let end = start + total;
-            if start < live_end && live_start < end {
+        // The placement must not overlap any live chunk. `live` is keyed by
+        // payload, so "header starts before `end`" is "payload < end + header".
+        let start = self.heap_base.0 + header_off;
+        let end = start + total;
+        if let Some((&live_payload, &live_total)) = self.live.range(..end + self.header_size()).next_back() {
+            if live_payload - self.header_size() + live_total > start {
                 return Err(SimError::MappingOverlap { base: Addr(start), size: total });
             }
         }
         // Remove any free-list entries that the placement swallows.
-        let overlapping: Vec<u64> = self
+        let swallowed: Vec<u64> = self
             .free_chunks
-            .iter()
-            .filter(|(&off, &sz)| off < header_off + total && header_off < off + sz)
+            .range(..header_off + total)
+            .rev()
+            .take_while(|(&off, &sz)| off + sz > header_off)
             .map(|(&off, _)| off)
             .collect();
-        for off in overlapping {
+        for off in swallowed {
             self.free_chunks.remove(&off);
         }
         if header_off + total > self.frontier {
@@ -770,6 +783,144 @@ mod tests {
         assert!(next.0 > target.0);
         // Overlapping placement is rejected.
         assert!(heap.malloc_at(&mut space, target.offset(16), 64, AllocSite(5), TypeTag(0)).is_err());
+    }
+
+    /// What `malloc_at` must return for a placement, and the free list it
+    /// must leave, computed by scanning every live chunk and free entry.
+    fn linear_scan_reference(
+        heap: &PtMalloc,
+        payload: Addr,
+        size: u64,
+    ) -> (SimResult<Addr>, BTreeMap<u64, u64>) {
+        let hdr = heap.header_size();
+        let mut free = heap.free_chunks.clone();
+        let Some(header_off) = payload.0.checked_sub(hdr).and_then(|h| h.checked_sub(heap.heap_base.0))
+        else {
+            return (Err(SimError::InvalidArgument("placement below heap base".into())), free);
+        };
+        let total = hdr + PtMalloc::round_up(size.max(1), CHUNK_ALIGN);
+        if header_off + total > heap.heap_size {
+            return (Err(SimError::OutOfMemory { requested: size }), free);
+        }
+        let start = heap.heap_base.0 + header_off;
+        let end = start + total;
+        if heap.live.iter().any(|(&p, &t)| start < p - hdr + t && p - hdr < end) {
+            return (Err(SimError::MappingOverlap { base: Addr(start), size: total }), free);
+        }
+        free.retain(|&off, &mut sz| !(off < header_off + total && header_off < off + sz));
+        (Ok(payload), free)
+    }
+
+    #[test]
+    fn malloc_at_matches_the_linear_scan_reference() {
+        let (mut placed, mut overlaps, mut multi_swallows) = (0, 0, 0);
+        for seed in 1..=200u64 {
+            let (mut space, mut heap) = setup(seed % 2 == 0);
+            heap.end_startup();
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |bound: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % bound
+            };
+            let mut live: Vec<Addr> = Vec::new();
+            for op in 0..300 {
+                match next(8) {
+                    0..=2 => {
+                        if let Ok(p) = heap.malloc(&mut space, 1 + next(512), AllocSite(1), TypeTag(1)) {
+                            live.push(p);
+                        }
+                    }
+                    3 | 4 if !live.is_empty() => {
+                        let p = live.swap_remove(next(live.len() as u64) as usize);
+                        heap.free(&mut space, p).unwrap();
+                    }
+                    _ => {
+                        // Mostly near the used part of the heap; sometimes
+                        // anywhere, including past its end.
+                        let reach = if next(16) == 0 { HEAP_SIZE + 1024 } else { heap.frontier + 4096 };
+                        let payload = Addr(HEAP_BASE + next(reach / CHUNK_ALIGN) * CHUNK_ALIGN);
+                        let size = 1 + next(768);
+                        let (want, want_free) = linear_scan_reference(&heap, payload, size);
+                        let free_before = heap.free_chunks.len();
+                        let got = heap.malloc_at(&mut space, payload, size, AllocSite(2), TypeTag(2));
+                        assert_eq!(got, want, "seed {seed} op {op}: placement {payload:?} size {size}");
+                        assert_eq!(heap.free_chunks, want_free, "seed {seed} op {op}: free list");
+                        match got {
+                            Ok(p) => {
+                                live.push(p);
+                                placed += 1;
+                                if free_before >= heap.free_chunks.len() + 2 {
+                                    multi_swallows += 1;
+                                }
+                            }
+                            Err(SimError::MappingOverlap { .. }) => overlaps += 1,
+                            Err(_) => {}
+                        }
+                    }
+                }
+            }
+        }
+        assert!(placed > 0 && overlaps > 0 && multi_swallows > 0, "{placed}/{overlaps}/{multi_swallows}");
+    }
+
+    #[test]
+    fn malloc_at_accepts_adjacent_and_rejects_one_byte_overlaps() {
+        for instrumented in [false, true] {
+            let (mut space, mut heap) = setup(instrumented);
+            let hdr = heap.header_size();
+            // A chunk whose header spans [start, start + total).
+            let start = HEAP_BASE + 0x2000;
+            let total = hdr + 64;
+            heap.malloc_at(&mut space, Addr(start + hdr), 64, AllocSite(1), TypeTag(0)).unwrap();
+            let overlap = |base: u64| Err(SimError::MappingOverlap { base: Addr(base), size: hdr + 32 });
+            // Ending one byte inside the chunk, then starting one byte before its end.
+            let before = start + 1 - (hdr + 32);
+            assert_eq!(
+                heap.malloc_at(&mut space, Addr(before + hdr), 32, AllocSite(2), TypeTag(0)),
+                overlap(before)
+            );
+            let after = start + total - 1;
+            assert_eq!(
+                heap.malloc_at(&mut space, Addr(after + hdr), 32, AllocSite(2), TypeTag(0)),
+                overlap(after)
+            );
+            // Ending exactly at its header, then starting exactly at its end.
+            let before = start - (hdr + 32);
+            heap.malloc_at(&mut space, Addr(before + hdr), 32, AllocSite(2), TypeTag(0)).unwrap();
+            let after = start + total;
+            heap.malloc_at(&mut space, Addr(after + hdr), 32, AllocSite(2), TypeTag(0)).unwrap();
+            assert_eq!(heap.live_count(), 3);
+        }
+    }
+
+    #[test]
+    fn malloc_at_swallows_every_free_entry_it_touches() {
+        for instrumented in [false, true] {
+            let (mut space, mut heap) = setup(instrumented);
+            heap.end_startup();
+            let hdr = heap.header_size();
+            let chunks: Vec<Addr> =
+                (0..6).map(|_| heap.malloc(&mut space, 48, AllocSite(1), TypeTag(0)).unwrap()).collect();
+            let total = hdr + 48;
+            // Free entries at chunks 0..5; chunk 5 stays live behind them.
+            for &p in &chunks[..5] {
+                heap.free(&mut space, p).unwrap();
+            }
+            let offsets = |heap: &PtMalloc| heap.free_chunks.keys().copied().collect::<Vec<_>>();
+            let first = chunks[0].0 - hdr - HEAP_BASE;
+            assert_eq!(offsets(&heap), (0..5).map(|i| first + i * total).collect::<Vec<_>>());
+            // Exactly entries 0 and 1: the placement ends at entry 2's start.
+            heap.malloc_at(&mut space, chunks[0], 2 * total - hdr, AllocSite(2), TypeTag(0)).unwrap();
+            assert_eq!(offsets(&heap), (2..5).map(|i| first + i * total).collect::<Vec<_>>());
+            // Starting inside entry 2 and ending inside entry 4: all three go.
+            let header = chunks[2].0 - hdr + 16;
+            let payload_size = 2 * total;
+            heap.malloc_at(&mut space, Addr(header + hdr), payload_size, AllocSite(3), TypeTag(0)).unwrap();
+            assert!(heap.free_chunks.is_empty());
+            assert_eq!(heap.live_count(), 3);
+        }
     }
 
     #[test]

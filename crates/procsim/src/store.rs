@@ -5,10 +5,11 @@
 //!
 //! * [`MemStore`] — an in-memory simulated disk whose writes go down in
 //!   fixed-size blocks and whose failure behaviour is *injectable*: a write
-//!   fault can crash the store before the n-th block ([`WriteFault::CrashAt`])
-//!   or persist a torn, half-garbage n-th block and then crash
-//!   ([`WriteFault::TornAt`]). [`Store::sync`] is the fsync barrier the
-//!   checkpoint commit protocol orders its writes around.
+//!   fault can crash the store before the n-th block ([`WriteFault::CrashAt`]),
+//!   right after it ([`WriteFault::CrashAfter`]), or persist a torn,
+//!   half-garbage n-th block and then crash ([`WriteFault::TornAt`]).
+//!   [`Store::sync`] is the fsync barrier the checkpoint commit protocol
+//!   orders its writes around.
 //! * [`FsStore`] — a thin real-filesystem backend behind the same trait, for
 //!   checkpoints that must survive the host process.
 //!
@@ -59,7 +60,7 @@ impl std::error::Error for StoreError {}
 
 /// An injectable write fault, armed via [`Store::arm_write_fault`].
 ///
-/// Both variants count blocks on the store's *global* block counter (see
+/// Every variant counts blocks on the store's *global* block counter (see
 /// [`Store::blocks_written`]), so a fault site enumerated from one clean run
 /// replays deterministically on the next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,6 +68,11 @@ pub enum WriteFault {
     /// Crash the store instead of writing the n-th block (1-based). Blocks
     /// written before it persist; the blob being written stays truncated.
     CrashAt(u64),
+    /// Write the n-th block (1-based), then crash. When it is the last block
+    /// of a blob, the write itself succeeds and the next store call (the
+    /// commit protocol's `sync`) fails; otherwise the rest of the blob is
+    /// lost and the write fails.
+    CrashAfter(u64),
     /// Persist a *torn* n-th block — the first half of the block's bytes,
     /// then garbage — and crash. Models a partial sector write at power loss.
     TornAt(u64),
@@ -172,6 +178,9 @@ impl Store for MemStore {
         self.unsynced.insert(name.to_string());
         let chunks: Vec<&[u8]> = if data.is_empty() { vec![&[]] } else { data.chunks(BLOCK_SIZE).collect() };
         for chunk in chunks {
+            if self.crashed {
+                return Err(StoreError::Crashed { blob: name.into(), block: self.blocks_written });
+            }
             let next = self.blocks_written + 1;
             match self.armed {
                 Some(WriteFault::CrashAt(n)) if next == n => {
@@ -189,9 +198,13 @@ impl Store for MemStore {
                     self.armed = None;
                     return Err(StoreError::Crashed { blob: name.into(), block: n });
                 }
-                _ => {
+                armed => {
                     self.blobs.get_mut(name).expect("blob inserted above").extend_from_slice(chunk);
                     self.blocks_written = next;
+                    if armed == Some(WriteFault::CrashAfter(next)) {
+                        self.crashed = true;
+                        self.armed = None;
+                    }
                 }
             }
         }
@@ -372,6 +385,26 @@ mod tests {
         s.recover();
         s.write_blob("y", b"z").unwrap();
         assert_eq!(s.read_blob("y").unwrap(), b"z");
+    }
+
+    #[test]
+    fn crash_after_block_persists_it_and_fails_the_next_call() {
+        let mut s = MemStore::new();
+        // Crash after the last block of a blob: the write succeeds whole,
+        // and the sync barrier behind it fails.
+        s.arm_write_fault(WriteFault::CrashAfter(2));
+        let data = vec![5u8; BLOCK_SIZE + 10];
+        s.write_blob("m", &data).unwrap();
+        assert!(s.is_crashed());
+        assert_eq!(s.sync(), Err(StoreError::Crashed { blob: String::new(), block: 2 }));
+        s.recover();
+        assert_eq!(s.read_blob("m").unwrap(), data);
+        // Crash after a middle block: the blob keeps the blocks up to it.
+        s.arm_write_fault(WriteFault::CrashAfter(4));
+        let err = s.write_blob("x", &vec![6u8; BLOCK_SIZE * 3]).unwrap_err();
+        assert_eq!(err, StoreError::Crashed { blob: "x".into(), block: 4 });
+        assert_eq!(s.read_blob("x").unwrap().len(), 2 * BLOCK_SIZE);
+        assert_eq!(s.blocks_written(), 4);
     }
 
     #[test]
