@@ -39,6 +39,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
 
+use mcr_core::hash::{fnv1a, FNV_OFFSET};
 use mcr_core::runtime::{
     resume, supervised_update_durable, wait_quiescence, ChaosPlan, McrInstance, SupervisorPolicy,
     UpdateOptions,
@@ -236,17 +237,6 @@ fn gen1(spec: &CheckpointSpec) -> impl FnMut() -> Box<dyn Program> + '_ {
     move || Box::new(program_by_name(spec.program, 1))
 }
 
-/// FNV-1a over a byte slice (manifest checksum algorithm; used by the
-/// format-skew drill to re-seal a deliberately skewed manifest).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One crash-point drill: checkpoint v1, mutate, then attempt v2 with
 /// `fault` armed at the `n`-th block of the new checkpoint. Asserts the old
 /// instance keeps serving and recovery lands on a byte-identical image of v1
@@ -441,7 +431,7 @@ fn corruption_drills(spec: &CheckpointSpec, out: &mut CheckpointOutcome) {
     let mut skewed = pristine_m2;
     skewed[8] ^= 0xFF;
     let body_len = skewed.len() - 8;
-    let sum = fnv1a(&skewed[..body_len]);
+    let sum = fnv1a(&skewed[..body_len], FNV_OFFSET);
     skewed[body_len..].copy_from_slice(&sum.to_le_bytes());
     store.write_blob(&m2, &skewed).expect("write skewed manifest");
     out.corruption_drills += 1;

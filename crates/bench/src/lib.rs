@@ -25,6 +25,7 @@
 
 use std::fmt::Write as _;
 
+use mcr_core::hash::{FNV_OFFSET, FNV_PRIME};
 use mcr_core::runtime::{
     boot, live_update, BootOptions, McrInstance, MemoryReport, PrecopyOptions, SchedulerMode, TransferMode,
     UpdateOptions, UpdateOutcome, UpdatePipeline,
@@ -130,11 +131,9 @@ pub fn update_with_options(
     outcome
 }
 
-/// The FNV-1a prime. Folding a zero word only multiplies the hash by it.
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// FNV-1a fold of one kernel-visible fact (helper of
-/// [`kernel_fingerprint`]).
+/// FNV-1a fold of one kernel-visible fact, a 64-bit word at a time (helper
+/// of [`kernel_fingerprint`]). Folding a zero word only multiplies the hash
+/// by `FNV_PRIME`.
 fn fold(hash: &mut u64, value: u64) {
     *hash = (*hash ^ value).wrapping_mul(FNV_PRIME);
 }
@@ -151,7 +150,7 @@ fn fold(hash: &mut u64, value: u64) {
 /// region's pages: a never-written page is all zero words, so it folds in
 /// one multiplication by `FNV_PRIME^words` instead of one per word.
 pub fn kernel_fingerprint(kernel: &Kernel) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for pid in kernel.pids() {
         let proc = kernel.process(pid).unwrap();
         fold(&mut hash, pid.0.into());
@@ -1254,7 +1253,7 @@ mod tests {
     /// The fingerprint as it was first defined: every region read out whole
     /// and folded word by word. The paged fold must reproduce it exactly.
     fn reference_fingerprint(kernel: &Kernel) -> u64 {
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut hash = FNV_OFFSET;
         for pid in kernel.pids() {
             let proc = kernel.process(pid).unwrap();
             fold(&mut hash, pid.0.into());

@@ -7,6 +7,8 @@
 //! also used to pair threads and processes across versions (creation-time
 //! call stacks) and to match dynamic objects reallocated at startup.
 
+use crate::hash::{fnv1a, FNV_OFFSET};
+
 /// A call-stack identifier: a stable hash over the active function names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CallStackId(pub u64);
@@ -20,16 +22,9 @@ impl CallStackId {
     /// on the path are unchanged (function *renaming* between versions changes
     /// the identifier — the conservative behaviour the paper accepts).
     pub fn from_frames<S: AsRef<str>>(frames: &[S]) -> Self {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut hash = FNV_OFFSET;
         for frame in frames {
-            for b in frame.as_ref().as_bytes() {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-            hash ^= 0x1f;
-            hash = hash.wrapping_mul(FNV_PRIME);
+            hash = fnv1a(&[0x1f], fnv1a(frame.as_ref().as_bytes(), hash));
         }
         CallStackId(hash)
     }
@@ -88,6 +83,14 @@ mod tests {
         let a = CallStackId::from_frames(&owned);
         let b = CallStackId::from_frames(&["main", "server_init"]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn identifiers_are_pinned() {
+        // FNV-1a over "main", 0x1f, "server_init", 0x1f: recorded startup
+        // logs and checkpoints key on these values.
+        assert_eq!(CallStackId::from_frames(&["main", "server_init"]).0, 0xb600_c6d4_94c9_7c4a);
+        assert_eq!(CallStackId::empty().0, crate::hash::FNV_OFFSET);
     }
 
     #[test]

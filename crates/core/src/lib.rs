@@ -70,6 +70,7 @@
 pub mod annotations;
 pub mod callstack;
 pub mod error;
+pub mod hash;
 pub mod intern;
 pub mod interpose;
 pub mod log;

@@ -563,31 +563,31 @@ impl<'a> Tracer<'a> {
     /// of process memory and can run on any shard worker).
     fn scan_object(&self, traced: &mut TracedObject, discovered: &mut Vec<(Addr, Option<TypeId>)>) {
         let treatment = match &traced.origin {
-            ObjectOrigin::Static { symbol } => self.state.annotations.obj_treatment(symbol).cloned(),
+            ObjectOrigin::Static { symbol } => self.state.annotations.obj_treatment(symbol),
             _ => None,
         };
 
-        // Decide the layout to scan.
-        enum Plan {
-            Typed(Vec<LayoutElement>, u64),
-            PointerSlots(Vec<u64>),
+        // Decide the layout to scan: a typed object scans its registry's
+        // memoized layout, repeated once per element for arrays.
+        enum Plan<'a> {
+            Typed(&'a [LayoutElement], u64),
+            PointerSlots(&'a [u64]),
             Conservative,
         }
         let mask_bits = match treatment {
-            Some(ObjTreatment::EncodedPointers { mask_bits }) => mask_bits,
+            Some(ObjTreatment::EncodedPointers { mask_bits }) => *mask_bits,
             _ => 0,
         };
-        let plan = match (&treatment, traced.type_id) {
+        let plan = match (treatment, traced.type_id) {
             (Some(ObjTreatment::SkipTransfer), _) => return,
             (Some(ObjTreatment::ForceConservative), _) => Plan::Conservative,
-            (Some(ObjTreatment::PointerSlots(offsets)), _) => Plan::PointerSlots(offsets.clone()),
+            (Some(ObjTreatment::PointerSlots(offsets)), _) => Plan::PointerSlots(offsets),
             (_, Some(ty)) => {
-                let elems = self.state.types.layout_elements(ty);
-                if elems.is_empty() {
+                let layout = self.state.types.layout(ty);
+                if layout.elements.is_empty() {
                     Plan::Conservative
                 } else {
-                    let stride = self.state.types.size_of(ty).max(1);
-                    Plan::Typed(elems, stride)
+                    Plan::Typed(&layout.elements, layout.size.max(1))
                 }
             }
             (_, None) => Plan::Conservative,
@@ -598,7 +598,7 @@ impl<'a> Tracer<'a> {
                 let copies = (traced.size / stride).max(1);
                 for k in 0..copies {
                     let base_off = k * stride;
-                    for elem in &elems {
+                    for elem in elems {
                         match elem {
                             LayoutElement::Pointer { offset, to } => {
                                 self.follow_precise(
@@ -618,7 +618,7 @@ impl<'a> Tracer<'a> {
                 }
             }
             Plan::PointerSlots(offsets) => {
-                for off in offsets {
+                for &off in offsets {
                     self.follow_precise(traced, off, None, mask_bits, discovered);
                 }
             }

@@ -46,6 +46,7 @@ use mcr_procsim::{
 use mcr_typemeta::{InstrumentationConfig, InstrumentationLevel};
 
 use crate::error::{McrError, McrResult};
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::program::Program;
 use crate::runtime::scheduler::{
     all_quiesced, boot, resume, run_rounds, wait_quiescence, BootOptions, McrInstance, SchedulerMode,
@@ -314,17 +315,6 @@ impl fmt::Debug for RestoredInstance {
 // ---------------------------------------------------------------------------
 // Binary encoding primitives
 // ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 #[derive(Default)]
 struct Enc {
@@ -1668,6 +1658,7 @@ pub fn restore_latest_mcr<S: Store + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::FNV_PRIME;
     use crate::runtime::scheduler::run_rounds;
     use crate::runtime::testprog::TinyServer;
     use mcr_procsim::MemStore;

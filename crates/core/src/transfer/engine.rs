@@ -14,7 +14,10 @@
 //! per-object loops into a [`TransferContext`] built once per update: names
 //! are interned into a [`SymbolTable`] and every old type id is bridged to
 //! its new-version counterpart ahead of time, so the hot paths below work on
-//! `u32` ids and `Arc<str>` refcount bumps instead of `String` clones. The
+//! `u32` ids and `Arc<str>` refcount bumps instead of `String` clones. Each
+//! [`TypeBridge`] also carries the [`FieldMap`] of its (old type, new type)
+//! pair, so the prepare pass transforms every object of a type with one map
+//! computed per update, not one per object write. The
 //! context is shared read-only across the worker threads of the
 //! pair-parallel transfer phase; [`transfer_between`] itself only touches
 //! the two processes of one matched pair, which is what makes the phase
@@ -69,7 +72,7 @@ use crate::intern::{Sym, SymbolTable};
 use crate::program::InstanceState;
 use crate::tracing::graph::ObjectOrigin;
 use crate::tracing::tracer::TraceResult;
-use crate::transfer::transform::{apply_field_map, compute_field_map};
+use crate::transfer::transform::{apply_field_map, compute_field_map, FieldMap};
 
 /// How one old-version type relates to the new version, resolved once per
 /// update instead of once per traced object.
@@ -77,8 +80,9 @@ use crate::transfer::transform::{apply_field_map, compute_field_map};
 pub struct TypeBridge {
     /// The (shared) old type name.
     pub old_name: Arc<str>,
-    /// The same-named type in the new version, if it exists.
-    pub new_ty: Option<TypeId>,
+    /// The same-named type in the new version, if it exists, with the field
+    /// map that re-lays an old object of this type into it.
+    pub counterpart: Option<(TypeId, FieldMap)>,
     /// Whether old and new layouts are compatible (false when the type
     /// vanished from the new version).
     pub layout_compatible: bool,
@@ -129,11 +133,13 @@ impl TransferContext {
                 .map(|n| old_state.types.is_layout_compatible(desc.id, &new_state.types, n))
                 .unwrap_or(false);
             let has_type_transform = new_state.annotations.transform(&desc.name).is_some();
+            let counterpart =
+                new_ty.map(|n| (n, compute_field_map(&old_state.types, desc.id, &new_state.types, n)));
             types.insert(
                 desc.id.0,
                 TypeBridge {
                     old_name: Arc::clone(&desc.name),
-                    new_ty,
+                    counterpart,
                     layout_compatible,
                     has_type_transform,
                 },
@@ -650,13 +656,8 @@ enum Prepared {
 impl Prepared {
     /// Whether the verbatim fast path applies: nothing rewrites the bytes,
     /// so they can be copied space-to-space without materializing.
-    fn is_verbatim(
-        transform_key: &Option<Arc<str>>,
-        raw_copy: bool,
-        old_ty: Option<TypeId>,
-        new_ty: Option<TypeId>,
-    ) -> bool {
-        transform_key.is_none() && (raw_copy || old_ty.is_none() || new_ty.is_none())
+    fn is_verbatim(transform_key: &Option<Arc<str>>, raw_copy: bool, has_counterpart: bool) -> bool {
+        transform_key.is_none() && (raw_copy || !has_counterpart)
     }
 }
 
@@ -844,13 +845,14 @@ fn run_transfer(
     // round keeps its slot, so pre-copied contents stay valid and pointer
     // rewriting is stable across rounds.
     // ------------------------------------------------------------------
-    struct Planned {
+    struct Planned<'a> {
         old_base: Addr,
         placement: Placement,
         write_contents: bool,
         stale: bool,
-        old_ty: Option<TypeId>,
-        new_ty: Option<TypeId>,
+        /// The bridge's new type and field map, if the type has a
+        /// counterpart in the new version.
+        counterpart: Option<&'a (TypeId, FieldMap)>,
         transform_key: Option<Arc<str>>,
         mask_bits: u32,
         raw_copy: bool,
@@ -887,7 +889,7 @@ fn run_transfer(
             // Resolve old/new types through the precomputed bridge.
             let old_ty = obj.type_id;
             let bridge = old_ty.and_then(|t| plan.bridge(t));
-            let new_ty = bridge.and_then(|b| b.new_ty);
+            let counterpart = bridge.and_then(|b| b.counterpart.as_ref());
             let type_changed = old_ty.is_some() && !bridge.map(|b| b.layout_compatible).unwrap_or(false);
             if type_changed && obj.non_updatable && obj.is_dirty() {
                 if final_mode {
@@ -896,8 +898,8 @@ fn run_transfer(
                         old_type: bridge
                             .map(|b| b.old_name.to_string())
                             .unwrap_or_else(|| "<untyped>".into()),
-                        new_type: new_ty
-                            .and_then(|t| new_state.types.get(t))
+                        new_type: counterpart
+                            .and_then(|(t, _)| new_state.types.get(*t))
                             .map(|d| d.name.to_string())
                             .unwrap_or_else(|| "<missing>".into()),
                     });
@@ -995,8 +997,7 @@ fn run_transfer(
                 placement,
                 write_contents,
                 stale,
-                old_ty,
-                new_ty,
+                counterpart,
                 transform_key,
                 mask_bits,
                 raw_copy,
@@ -1047,8 +1048,9 @@ fn run_transfer(
             }
             Placement::Fresh(_) => {
                 // Allocate in the new version's heap with the new type tag.
-                let size = p.new_ty.map(|t| new_state.types.size_of(t)).filter(|s| *s > 0).unwrap_or(p.size);
-                let tag = p.new_ty.map(|t| TypeTag(t.0)).unwrap_or(TypeTag(0));
+                let new_ty = p.counterpart.map(|(t, _)| *t);
+                let size = new_ty.map(|t| new_state.types.size_of(t)).filter(|s| *s > 0).unwrap_or(p.size);
+                let tag = new_ty.map(|t| TypeTag(t.0)).unwrap_or(TypeTag(0));
                 let site = AllocSite(0);
                 let (space, heap) = new_proc.space_and_heap_mut().map_err(McrError::Sim)?;
                 match heap.malloc(space, size.max(1), site, tag) {
@@ -1096,7 +1098,7 @@ fn run_transfer(
     let est_costs: Vec<u64> = writes.iter().map(|&(i, _)| 2_000 + 2 * planned[i].size.max(1)).collect();
     let shard_of = partition_contiguous(&est_costs, shards);
     let prepare = |p: &Planned, scratch: &mut Vec<u8>| -> Prepared {
-        if Prepared::is_verbatim(&p.transform_key, p.raw_copy, p.old_ty, p.new_ty) {
+        if Prepared::is_verbatim(&p.transform_key, p.raw_copy, p.counterpart.is_some()) {
             // Reproduce the historical skip: unreadable old bytes drop the
             // object from the write set without touching any counter.
             if old_proc.space().is_valid_range(p.old_base, p.size.max(1) as usize) {
@@ -1116,8 +1118,7 @@ fn run_transfer(
             let handler = new_state.annotations.transform(key).expect("transform key resolved earlier");
             return Prepared::Bytes(handler(old_bytes));
         }
-        let (old_ty, new_ty) = (p.old_ty.expect("typed path"), p.new_ty.expect("typed path"));
-        let map = compute_field_map(&old_state.types, old_ty, &new_state.types, new_ty);
+        let (_, map) = p.counterpart.expect("typed path");
         // Objects larger than one element (arrays of the element type) are
         // transformed element-wise.
         let old_stride = map.old_size.max(1);
@@ -1126,7 +1127,7 @@ fn run_transfer(
         for k in 0..count {
             let start = (k * old_stride) as usize;
             let end = ((k + 1) * old_stride).min(old_bytes.len() as u64) as usize;
-            let mut elem = apply_field_map(&map, &old_bytes[start..end]);
+            let mut elem = apply_field_map(map, &old_bytes[start..end]);
             rewrite_pointers(&mut elem, &map.pointers, &old_bytes[start..end], trace, &addr_map, p.mask_bits);
             out.extend_from_slice(&elem);
         }
@@ -1175,7 +1176,7 @@ fn run_transfer(
     // ------------------------------------------------------------------
     let mut shard_residual = vec![SimDuration(0); shards];
     let mut shard_round = vec![SimDuration(0); shards];
-    for (k, (&(pidx, new_base), outcome)) in writes.iter().zip(prepared.iter()).enumerate() {
+    for (k, (&(pidx, new_base), outcome)) in writes.iter().zip(prepared).enumerate() {
         let p = &planned[pidx];
         if matches!(outcome, Prepared::Skip) {
             continue;
@@ -1201,9 +1202,9 @@ fn run_transfer(
             let (len, bytes) = match outcome {
                 Prepared::Skip => unreachable!("skipped above"),
                 Prepared::Direct => ((p.size.max(1) as usize).min(writable), None),
-                Prepared::Bytes(out) => {
-                    let len = out.len().min(writable);
-                    (len, Some(out[..len].to_vec()))
+                Prepared::Bytes(mut out) => {
+                    out.truncate(writable);
+                    (out.len(), Some(out))
                 }
             };
             report.objects_transferred += 1;
@@ -1684,6 +1685,25 @@ mod tests {
             other => panic!("unexpected error {other}"),
         };
         assert!(conflicts.iter().any(|c| matches!(c, Conflict::FaultInjected { .. })));
+    }
+
+    #[test]
+    fn bridges_carry_figure2_field_map_and_none_for_dropped_types() {
+        let mut kernel = Kernel::new();
+        let (mut old_state, _) = make_instance(&mut kernel, "v1", 0);
+        let (mut new_state, _) = make_instance(&mut kernel, "v2", 0x1000_0000);
+        register_v1_types(&mut old_state);
+        register_v2_types(&mut new_state);
+        // A type the new version drops has no counterpart and no map.
+        let gone = old_state.types.int("legacy_counter", 8);
+        let plan = TransferContext::new(&old_state, &new_state);
+        assert!(plan.bridge(gone).unwrap().counterpart.is_none());
+        let l_t = old_state.types.lookup("l_t").unwrap();
+        let (new_ty, map) = plan.bridge(l_t).unwrap().counterpart.as_ref().unwrap();
+        assert_eq!(Some(*new_ty), new_state.types.lookup("l_t"));
+        assert_eq!(*map, compute_field_map(&old_state.types, l_t, &new_state.types, *new_ty));
+        // Figure 2: `value` is copied, `next` rewritten, the added `new` field left zero.
+        assert_eq!((map.copies.as_slice(), map.pointers.as_slice()), (&[(0, 0, 4)][..], &[(8, 8)][..]));
     }
 
     #[test]

@@ -99,11 +99,9 @@ fn map_into(
         (TypeKind::Pointer { .. }, TypeKind::Pointer { .. }) => {
             map.pointers.push((old_off, new_off));
         }
-        (TypeKind::Struct { fields: old_fields }, TypeKind::Struct { fields: new_fields }) => {
+        (TypeKind::Struct { .. }, TypeKind::Struct { .. }) => {
             let old_layout = old_reg.struct_layout(old_ty);
-            let new_layout = new_reg.struct_layout(new_ty);
-            let _ = (old_fields, new_fields);
-            for new_field in &new_layout {
+            for new_field in new_reg.struct_layout(new_ty) {
                 if let Some(old_field) = old_layout.iter().find(|f| f.name == new_field.name) {
                     map_into(
                         old_reg,

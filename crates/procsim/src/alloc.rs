@@ -297,11 +297,17 @@ impl PtMalloc {
     /// maps hold *disjoint* intervals: live chunks never overlap each other
     /// (every placement checks this), free entries never overlap each other
     /// or a live chunk (they are released chunks or split tails, and a
-    /// placement removes every entry it touches). Ordered by start, disjoint
-    /// intervals are also ordered by end, so the only live chunk that can
-    /// overlap the placement is the last one starting before its end, and
-    /// the swallowed free entries are a contiguous run ending at the last
-    /// entry starting before its end.
+    /// placement replaces every entry it touches by the parts it leaves
+    /// uncovered). Ordered by start, disjoint intervals are also ordered by
+    /// end, so the only live chunk that can overlap the placement is the
+    /// last one starting before its end, and the swallowed free entries are
+    /// a contiguous run ending at the last entry starting before its end.
+    ///
+    /// Only the first swallowed entry can start before the placement and
+    /// only the last can end after it. Those uncovered head and tail parts
+    /// stay free entries when they can hold a header plus one
+    /// `CHUNK_ALIGN` payload (the same threshold `malloc` splits by);
+    /// smaller slivers are dropped. Memory is not touched for either.
     ///
     /// # Errors
     ///
@@ -335,16 +341,24 @@ impl PtMalloc {
                 return Err(SimError::MappingOverlap { base: Addr(start), size: total });
             }
         }
-        // Remove any free-list entries that the placement swallows.
-        let swallowed: Vec<u64> = self
+        // Replace the free-list entries that the placement swallows by the
+        // parts of them it leaves uncovered.
+        let swallowed: Vec<(u64, u64)> = self
             .free_chunks
             .range(..header_off + total)
             .rev()
             .take_while(|(&off, &sz)| off + sz > header_off)
-            .map(|(&off, _)| off)
+            .map(|(&off, &sz)| (off, sz))
             .collect();
-        for off in swallowed {
+        let min_entry = self.header_size() + CHUNK_ALIGN;
+        for (off, sz) in swallowed {
             self.free_chunks.remove(&off);
+            if header_off >= off + min_entry {
+                self.free_chunks.insert(off, header_off - off);
+            }
+            if off + sz >= header_off + total + min_entry {
+                self.free_chunks.insert(header_off + total, off + sz - header_off - total);
+            }
         }
         if header_off + total > self.frontier {
             self.frontier = header_off + total;
@@ -786,7 +800,9 @@ mod tests {
     }
 
     /// What `malloc_at` must return for a placement, and the free list it
-    /// must leave, computed by scanning every live chunk and free entry.
+    /// must leave, computed by scanning every live chunk and free entry: each
+    /// touched entry is replaced by its uncovered parts that can still hold
+    /// a header plus one `CHUNK_ALIGN` payload.
     fn linear_scan_reference(
         heap: &PtMalloc,
         payload: Addr,
@@ -807,7 +823,19 @@ mod tests {
         if heap.live.iter().any(|(&p, &t)| start < p - hdr + t && p - hdr < end) {
             return (Err(SimError::MappingOverlap { base: Addr(start), size: total }), free);
         }
-        free.retain(|&off, &mut sz| !(off < header_off + total && header_off < off + sz));
+        let end_off = header_off + total;
+        let min_entry = hdr + CHUNK_ALIGN;
+        for (off, sz) in heap.free_chunks.iter().map(|(&o, &s)| (o, s)) {
+            if off < end_off && header_off < off + sz {
+                free.remove(&off);
+                if off < header_off && header_off - off >= min_entry {
+                    free.insert(off, header_off - off);
+                }
+                if off + sz > end_off && off + sz - end_off >= min_entry {
+                    free.insert(end_off, off + sz - end_off);
+                }
+            }
+        }
         (Ok(payload), free)
     }
 
@@ -896,7 +924,7 @@ mod tests {
     }
 
     #[test]
-    fn malloc_at_swallows_every_free_entry_it_touches() {
+    fn malloc_at_keeps_the_uncovered_parts_of_free_entries() {
         for instrumented in [false, true] {
             let (mut space, mut heap) = setup(instrumented);
             heap.end_startup();
@@ -908,18 +936,35 @@ mod tests {
             for &p in &chunks[..5] {
                 heap.free(&mut space, p).unwrap();
             }
-            let offsets = |heap: &PtMalloc| heap.free_chunks.keys().copied().collect::<Vec<_>>();
+            let entries =
+                |heap: &PtMalloc| heap.free_chunks.iter().map(|(&o, &s)| (o, s)).collect::<Vec<_>>();
             let first = chunks[0].0 - hdr - HEAP_BASE;
-            assert_eq!(offsets(&heap), (0..5).map(|i| first + i * total).collect::<Vec<_>>());
+            let entry = |i: u64| (first + i * total, total);
+            assert_eq!(entries(&heap), (0..5).map(entry).collect::<Vec<_>>());
             // Exactly entries 0 and 1: the placement ends at entry 2's start.
             heap.malloc_at(&mut space, chunks[0], 2 * total - hdr, AllocSite(2), TypeTag(0)).unwrap();
-            assert_eq!(offsets(&heap), (2..5).map(|i| first + i * total).collect::<Vec<_>>());
-            // Starting inside entry 2 and ending inside entry 4: all three go.
-            let header = chunks[2].0 - hdr + 16;
-            let payload_size = 2 * total;
-            heap.malloc_at(&mut space, Addr(header + hdr), payload_size, AllocSite(3), TypeTag(0)).unwrap();
+            assert_eq!(entries(&heap), (2..5).map(entry).collect::<Vec<_>>());
+            // From inside entry 2 to inside entry 4, leaving a smallest
+            // reusable entry (header + one CHUNK_ALIGN payload) at each end:
+            // entry 3 goes, the head of 2 and the tail of 4 stay free.
+            let min_entry = hdr + CHUNK_ALIGN;
+            let start = entry(2).0 + min_entry;
+            let end = entry(5).0 - min_entry;
+            let placed = Addr(HEAP_BASE + start + hdr);
+            heap.malloc_at(&mut space, placed, end - start - hdr, AllocSite(3), TypeTag(0)).unwrap();
+            assert_eq!(entries(&heap), vec![(entry(2).0, min_entry), (end, min_entry)]);
+            // Both remainders are reused, first fit, before the frontier grows.
+            let head = heap.malloc(&mut space, CHUNK_ALIGN, AllocSite(4), TypeTag(0)).unwrap();
+            let tail = heap.malloc(&mut space, CHUNK_ALIGN, AllocSite(4), TypeTag(0)).unwrap();
+            assert_eq!((head, tail), (Addr(HEAP_BASE + entry(2).0 + hdr), Addr(HEAP_BASE + end + hdr)));
             assert!(heap.free_chunks.is_empty());
-            assert_eq!(heap.live_count(), 3);
+            // Slivers too small for a chunk are dropped: a placement 16 bytes
+            // into chunk 5's freed entry leaves 16 bytes on either side.
+            heap.free(&mut space, chunks[5]).unwrap();
+            let sliver = Addr(HEAP_BASE + entry(5).0 + 16 + hdr);
+            heap.malloc_at(&mut space, sliver, total - 32 - hdr, AllocSite(5), TypeTag(0)).unwrap();
+            assert!(heap.free_chunks.is_empty());
+            assert_eq!(heap.live_count(), 5);
         }
     }
 

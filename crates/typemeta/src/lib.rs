@@ -37,4 +37,4 @@ pub mod types;
 
 pub use instrument::{InstrumentationConfig, InstrumentationLevel};
 pub use statics::{CallSiteInfo, CallSiteRegistry, StaticObject, StaticRegistry};
-pub use types::{Field, FieldLayout, LayoutElement, TypeDesc, TypeId, TypeKind, TypeRegistry};
+pub use types::{Field, FieldLayout, LayoutElement, TypeDesc, TypeId, TypeKind, TypeLayout, TypeRegistry};

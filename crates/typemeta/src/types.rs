@@ -12,9 +12,17 @@
 //! pointer-sized integers, and allocations from uninstrumented allocators —
 //! are modelled as *opaque* layout elements, which is precisely what forces
 //! the conservative half of mutable tracing.
+//!
+//! Like the link-time pass's tags, a type's layout is static metadata: the
+//! registry derives every type's [`TypeLayout`] (size, alignment, struct
+//! field layout and flattened [`LayoutElement`]s) once, on the first layout
+//! query, and hands out borrows of it from then on. [`TypeRegistry::register`]
+//! is the registry's only mutator and drops the derived layouts, so a field
+//! that names a not-yet-registered id resolves against the registry as it is
+//! at query time.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a type within a [`TypeRegistry`].
 ///
@@ -152,18 +160,41 @@ pub struct FieldLayout {
     pub size: u64,
 }
 
+/// Everything derived from one type's structure: what precise tracing,
+/// allocation and state transfer ask of a type.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TypeLayout {
+    /// Size in bytes (0 for unknown ids).
+    pub size: u64,
+    /// Alignment in bytes (1 for unknown ids).
+    pub align: u64,
+    /// The struct field layout (empty for non-struct types).
+    pub fields: Vec<FieldLayout>,
+    /// The flattened layout: pointer slots, scalar runs and opaque runs, in
+    /// offset order.
+    pub elements: Vec<LayoutElement>,
+}
+
+/// The layout of an id the registry does not know: an empty, untraceable
+/// blob.
+static UNKNOWN_LAYOUT: TypeLayout =
+    TypeLayout { size: 0, align: 1, fields: Vec::new(), elements: Vec::new() };
+
 /// Registry of every type known to one program version.
 #[derive(Debug, Clone, Default)]
 pub struct TypeRegistry {
     types: BTreeMap<u64, TypeDesc>,
     by_name: BTreeMap<Arc<str>, u64>,
     next_id: u64,
+    /// Every id's derived layout, indexed by id; filled on the first layout
+    /// query and dropped by [`register`](Self::register).
+    layouts: OnceLock<Vec<TypeLayout>>,
 }
 
 impl TypeRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        TypeRegistry { types: BTreeMap::new(), by_name: BTreeMap::new(), next_id: 1 }
+        TypeRegistry { next_id: 1, ..TypeRegistry::default() }
     }
 
     /// Registers a type under `name`, returning its id. Registering the same
@@ -178,6 +209,8 @@ impl TypeRegistry {
         self.next_id += 1;
         self.by_name.insert(Arc::clone(&name), id.0);
         self.types.insert(id.0, TypeDesc { id, name, kind });
+        // A new type can complete fields that named its id before it existed.
+        self.layouts = OnceLock::new();
         id
     }
 
@@ -246,116 +279,60 @@ impl TypeRegistry {
         self.types.is_empty()
     }
 
+    /// The derived layout of type `id`, computed for every registered type
+    /// on the first query after the last [`register`](Self::register).
+    ///
+    /// Unknown ids have size 0, alignment 1 and no fields or elements (they
+    /// behave like opaque, untraceable blobs).
+    pub fn layout(&self, id: TypeId) -> &TypeLayout {
+        let layouts =
+            self.layouts.get_or_init(|| (0..self.next_id).map(|i| self.derive_layout(TypeId(i))).collect());
+        usize::try_from(id.0).ok().and_then(|i| layouts.get(i)).unwrap_or(&UNKNOWN_LAYOUT)
+    }
+
+    /// Derives the layout of type `id` by walking its type tree, without the
+    /// memo. This is the computation [`layout`](Self::layout) memoizes;
+    /// everything else should read the memo.
+    pub fn derive_layout(&self, id: TypeId) -> TypeLayout {
+        let fields = match self.get(id).map(|d| &d.kind) {
+            Some(TypeKind::Struct { fields }) => self.derive_struct_layout(fields).0,
+            _ => Vec::new(),
+        };
+        let mut elements = Vec::new();
+        self.derive_elements(id, 0, &mut elements);
+        TypeLayout { size: self.derive_size(id), align: self.derive_align(id), fields, elements }
+    }
+
     /// Size of an object of type `id`, in bytes.
     ///
     /// Unknown ids have size 0 (they behave like opaque, untraceable blobs).
     pub fn size_of(&self, id: TypeId) -> u64 {
-        match self.get(id).map(|d| &d.kind) {
-            Some(TypeKind::Int { size }) => *size,
-            Some(TypeKind::PtrSizedInt) | Some(TypeKind::Pointer { .. }) => 8,
-            Some(TypeKind::CharArray { len }) => *len,
-            Some(TypeKind::Array { elem, len }) => self.stride_of(*elem) * len,
-            Some(TypeKind::Struct { fields }) => {
-                let layout = self.struct_layout_inner(fields);
-                layout.1
-            }
-            Some(TypeKind::Union { variants }) => {
-                variants.iter().map(|f| self.size_of(f.ty)).max().unwrap_or(0)
-            }
-            Some(TypeKind::Opaque { size }) => *size,
-            None => 0,
-        }
+        self.layout(id).size
     }
 
     /// Alignment of a type, in bytes.
     pub fn align_of(&self, id: TypeId) -> u64 {
-        match self.get(id).map(|d| &d.kind) {
-            Some(TypeKind::Int { size }) => (*size).max(1),
-            Some(TypeKind::PtrSizedInt) | Some(TypeKind::Pointer { .. }) => 8,
-            Some(TypeKind::CharArray { .. }) => 1,
-            Some(TypeKind::Array { elem, .. }) => self.align_of(*elem),
-            Some(TypeKind::Struct { fields }) => {
-                fields.iter().map(|f| self.align_of(f.ty)).max().unwrap_or(1)
-            }
-            Some(TypeKind::Union { variants }) => {
-                variants.iter().map(|f| self.align_of(f.ty)).max().unwrap_or(1)
-            }
-            Some(TypeKind::Opaque { .. }) => 8,
-            None => 1,
-        }
-    }
-
-    fn stride_of(&self, id: TypeId) -> u64 {
-        let size = self.size_of(id);
-        let align = self.align_of(id);
-        size.div_ceil(align) * align
-    }
-
-    fn struct_layout_inner(&self, fields: &[Field]) -> (Vec<FieldLayout>, u64) {
-        let mut out = Vec::with_capacity(fields.len());
-        let mut offset = 0u64;
-        let mut max_align = 1u64;
-        for f in fields {
-            let align = self.align_of(f.ty);
-            let size = self.size_of(f.ty);
-            max_align = max_align.max(align);
-            offset = offset.div_ceil(align) * align;
-            out.push(FieldLayout { name: f.name.clone(), ty: f.ty, offset, size });
-            offset += size;
-        }
-        let total = offset.div_ceil(max_align) * max_align;
-        (out, total.max(1))
+        self.layout(id).align
     }
 
     /// The field layout of a struct type.
     ///
-    /// Returns an empty vector for non-struct types.
-    pub fn struct_layout(&self, id: TypeId) -> Vec<FieldLayout> {
-        match self.get(id).map(|d| &d.kind) {
-            Some(TypeKind::Struct { fields }) => self.struct_layout_inner(fields).0,
-            _ => Vec::new(),
-        }
+    /// Returns an empty slice for non-struct types.
+    pub fn struct_layout(&self, id: TypeId) -> &[FieldLayout] {
+        &self.layout(id).fields
     }
 
     /// Byte offset of a named field within a struct type.
     pub fn field_offset(&self, id: TypeId, field: &str) -> Option<u64> {
-        self.struct_layout(id).into_iter().find(|f| f.name == field).map(|f| f.offset)
+        self.struct_layout(id).iter().find(|f| f.name == field).map(|f| f.offset)
     }
 
     /// Flattens a type into its traced layout: pointer slots, scalar runs and
     /// opaque runs, in offset order. This is the unit of work of precise
     /// tracing: pointer slots are followed, scalars copied, opaque runs handed
     /// to the conservative scanner.
-    pub fn layout_elements(&self, id: TypeId) -> Vec<LayoutElement> {
-        let mut out = Vec::new();
-        self.flatten(id, 0, &mut out);
-        out
-    }
-
-    fn flatten(&self, id: TypeId, base: u64, out: &mut Vec<LayoutElement>) {
-        match self.get(id).map(|d| d.kind.clone()) {
-            Some(TypeKind::Int { size }) => out.push(LayoutElement::Scalar { offset: base, len: size }),
-            Some(TypeKind::PtrSizedInt) => out.push(LayoutElement::Opaque { offset: base, len: 8 }),
-            Some(TypeKind::Pointer { to }) => out.push(LayoutElement::Pointer { offset: base, to }),
-            Some(TypeKind::CharArray { len }) => out.push(LayoutElement::Opaque { offset: base, len }),
-            Some(TypeKind::Array { elem, len }) => {
-                let stride = self.stride_of(elem);
-                for i in 0..len {
-                    self.flatten(elem, base + i * stride, out);
-                }
-            }
-            Some(TypeKind::Struct { fields }) => {
-                for f in self.struct_layout_inner(&fields).0 {
-                    self.flatten(f.ty, base + f.offset, out);
-                }
-            }
-            Some(TypeKind::Union { variants }) => {
-                let size = variants.iter().map(|f| self.size_of(f.ty)).max().unwrap_or(0);
-                out.push(LayoutElement::Opaque { offset: base, len: size });
-            }
-            Some(TypeKind::Opaque { size }) => out.push(LayoutElement::Opaque { offset: base, len: size }),
-            None => {}
-        }
+    pub fn layout_elements(&self, id: TypeId) -> &[LayoutElement] {
+        &self.layout(id).elements
     }
 
     /// True if the type contains any opaque layout element (and therefore
@@ -369,6 +346,86 @@ impl TypeRegistry {
         self.layout_elements(id).iter().any(|e| matches!(e, LayoutElement::Pointer { .. }))
     }
 
+    fn derive_size(&self, id: TypeId) -> u64 {
+        match self.get(id).map(|d| &d.kind) {
+            Some(TypeKind::Int { size }) => *size,
+            Some(TypeKind::PtrSizedInt) | Some(TypeKind::Pointer { .. }) => 8,
+            Some(TypeKind::CharArray { len }) => *len,
+            Some(TypeKind::Array { elem, len }) => self.derive_stride(*elem) * len,
+            Some(TypeKind::Struct { fields }) => self.derive_struct_layout(fields).1,
+            Some(TypeKind::Union { variants }) => {
+                variants.iter().map(|f| self.derive_size(f.ty)).max().unwrap_or(0)
+            }
+            Some(TypeKind::Opaque { size }) => *size,
+            None => 0,
+        }
+    }
+
+    fn derive_align(&self, id: TypeId) -> u64 {
+        match self.get(id).map(|d| &d.kind) {
+            Some(TypeKind::Int { size }) => (*size).max(1),
+            Some(TypeKind::PtrSizedInt) | Some(TypeKind::Pointer { .. }) => 8,
+            Some(TypeKind::CharArray { .. }) => 1,
+            Some(TypeKind::Array { elem, .. }) => self.derive_align(*elem),
+            Some(TypeKind::Struct { fields }) => {
+                fields.iter().map(|f| self.derive_align(f.ty)).max().unwrap_or(1)
+            }
+            Some(TypeKind::Union { variants }) => {
+                variants.iter().map(|f| self.derive_align(f.ty)).max().unwrap_or(1)
+            }
+            Some(TypeKind::Opaque { .. }) => 8,
+            None => 1,
+        }
+    }
+
+    fn derive_stride(&self, id: TypeId) -> u64 {
+        let size = self.derive_size(id);
+        let align = self.derive_align(id);
+        size.div_ceil(align) * align
+    }
+
+    fn derive_struct_layout(&self, fields: &[Field]) -> (Vec<FieldLayout>, u64) {
+        let mut out = Vec::with_capacity(fields.len());
+        let mut offset = 0u64;
+        let mut max_align = 1u64;
+        for f in fields {
+            let align = self.derive_align(f.ty);
+            let size = self.derive_size(f.ty);
+            max_align = max_align.max(align);
+            offset = offset.div_ceil(align) * align;
+            out.push(FieldLayout { name: f.name.clone(), ty: f.ty, offset, size });
+            offset += size;
+        }
+        let total = offset.div_ceil(max_align) * max_align;
+        (out, total.max(1))
+    }
+
+    fn derive_elements(&self, id: TypeId, base: u64, out: &mut Vec<LayoutElement>) {
+        match self.get(id).map(|d| &d.kind) {
+            Some(TypeKind::Int { size }) => out.push(LayoutElement::Scalar { offset: base, len: *size }),
+            Some(TypeKind::PtrSizedInt) => out.push(LayoutElement::Opaque { offset: base, len: 8 }),
+            Some(TypeKind::Pointer { to }) => out.push(LayoutElement::Pointer { offset: base, to: *to }),
+            Some(TypeKind::CharArray { len }) => out.push(LayoutElement::Opaque { offset: base, len: *len }),
+            Some(TypeKind::Array { elem, len }) => {
+                let stride = self.derive_stride(*elem);
+                for i in 0..*len {
+                    self.derive_elements(*elem, base + i * stride, out);
+                }
+            }
+            Some(TypeKind::Struct { fields }) => {
+                for f in self.derive_struct_layout(fields).0 {
+                    self.derive_elements(f.ty, base + f.offset, out);
+                }
+            }
+            Some(TypeKind::Union { variants }) => {
+                let size = variants.iter().map(|f| self.derive_size(f.ty)).max().unwrap_or(0);
+                out.push(LayoutElement::Opaque { offset: base, len: size });
+            }
+            Some(TypeKind::Opaque { size }) => out.push(LayoutElement::Opaque { offset: base, len: *size }),
+            None => {}
+        }
+    }
+
     /// Structural comparison of a type in this registry against a type in
     /// another registry (typically: old version vs. new version).
     ///
@@ -377,8 +434,7 @@ impl TypeRegistry {
     /// match pairwise. Pointee type *names* must match but pointee ids may
     /// differ (ids are version-local).
     pub fn is_layout_compatible(&self, id: TypeId, other: &TypeRegistry, other_id: TypeId) -> bool {
-        let a = self.layout_elements(id);
-        let b = other.layout_elements(other_id);
+        let (a, b) = (self.layout_elements(id), other.layout_elements(other_id));
         if a.len() != b.len() {
             return false;
         }
@@ -410,6 +466,15 @@ impl TypeRegistry {
 mod tests {
     use super::*;
 
+    /// Points field `index` of struct `id` at `ty`: how these tests build
+    /// self-referential structs. Drops the memo like `register` does.
+    fn patch_field(reg: &mut TypeRegistry, id: TypeId, index: usize, ty: TypeId) {
+        if let Some(TypeKind::Struct { fields }) = reg.types.get_mut(&id.0).map(|d| &mut d.kind) {
+            fields[index].ty = ty;
+        }
+        reg.layouts = OnceLock::new();
+    }
+
     fn listing1_types() -> (TypeRegistry, TypeId, TypeId) {
         // The types from Listing 1 of the paper: `char b[8]` and
         // `struct list_s { int value; struct list_s *next; }`.
@@ -421,11 +486,7 @@ mod tests {
         );
         // Patch the self-referential pointer after the struct id exists.
         let list_ptr = reg.pointer("l_t*", list);
-        if let Some(desc) = reg.types.get_mut(&list.0) {
-            if let TypeKind::Struct { fields } = &mut desc.kind {
-                fields[1].ty = list_ptr;
-            }
-        }
+        patch_field(&mut reg, list, 1, list_ptr);
         let b = reg.char_array("char[8]", 8);
         (reg, list, b)
     }
@@ -523,11 +584,7 @@ mod tests {
             },
         );
         let lp = reg_v2b.pointer("l_t*", list2);
-        if let Some(d) = reg_v2b.types.get_mut(&list2.0) {
-            if let TypeKind::Struct { fields } = &mut d.kind {
-                fields[2].ty = lp;
-            }
-        }
+        patch_field(&mut reg_v2b, list2, 2, lp);
         assert!(!reg_v1.is_layout_compatible(list_v1, &reg_v2b, list2));
     }
 
@@ -536,5 +593,52 @@ mod tests {
         let reg = TypeRegistry::new();
         assert_eq!(reg.size_of(TypeId(99)), 0);
         assert!(reg.layout_elements(TypeId(99)).is_empty());
+        assert_eq!(reg.layout(TypeId(99)), &reg.derive_layout(TypeId(99)));
+    }
+
+    #[test]
+    fn memo_matches_the_derivation_for_every_type() {
+        let (mut reg, _, _) = listing1_types();
+        let int = reg.lookup("int").unwrap();
+        let pair = reg.struct_type("pair", vec![Field::new("a", int), Field::new("b", int)]);
+        let arr = reg.array("pair[3]", pair, 3);
+        let ptr = reg.pointer("int*", int);
+        reg.union_type("u", vec![Field::new("i", int), Field::new("p", ptr)]);
+        reg.struct_type(
+            "outer",
+            vec![Field::new("c", reg.lookup("char[8]").unwrap()), Field::new("arr", arr)],
+        );
+        reg.ptr_sized_int("uintptr_t");
+        reg.opaque("blob", 24);
+        for id in (0..=reg.len() as u64 + 1).map(TypeId) {
+            assert_eq!(reg.layout(id), &reg.derive_layout(id), "type {id:?}");
+        }
+    }
+
+    /// `derive_layout` answers as a registry without a memo would, so the
+    /// memoized answers must equal it after any sequence of queries and
+    /// registrations.
+    #[test]
+    fn registering_a_forward_referenced_type_updates_the_layout() {
+        let mut reg = TypeRegistry::new();
+        let int = reg.int("int", 4);
+        // `node` names id 3 before anything is registered under it.
+        let ahead = TypeId(3);
+        let node = reg.struct_type("node", vec![Field::new("v", int), Field::new("link", ahead)]);
+        let before = reg.layout(node).clone();
+        assert_eq!(before, reg.derive_layout(node));
+        assert_eq!((before.size, reg.field_offset(node, "link")), (4, Some(4)));
+        assert!(!reg.has_pointers(node));
+
+        assert_eq!(reg.pointer("node*", node), ahead);
+        let after = reg.layout(node);
+        assert_eq!(after, &reg.derive_layout(node));
+        assert_eq!((after.size, after.align, reg.field_offset(node, "link")), (16, 8, Some(8)));
+        assert_eq!(reg.layout_elements(node)[1], LayoutElement::Pointer { offset: 8, to: node });
+        assert_ne!(after, &before);
+
+        // Registering an existing name changes nothing and keeps the memo.
+        reg.int("int", 4);
+        assert_eq!(reg.layout(node), &reg.derive_layout(node));
     }
 }
